@@ -5,7 +5,9 @@
 // candidates, encoder width 96 → decoder trunk channels×4 MLP), the
 // token-mixing transposes, the tiny edge-predictor head, and the big-k
 // dW backward — the replica of the pre-backend 4-wide-unrolled kernels
-// vs the packed cache-blocked backend, printed as a table.
+// vs the packed cache-blocked backend, printed as a table. The last rows
+// are the decoder trunk (fc1 + GELU epilogue, fc2, dW) at the shape the
+// repo benchmark's train-adaptive workload issues.
 //
 // --smoke: no timing; cross-checks the packed backend (all transpose
 // variants, fused bias/GELU epilogues, the batched permute_021 view, and
@@ -126,7 +128,7 @@ ShapeResult measure(const std::string& label, double flops_per_iter, OldFn old_f
 int run_sweep() {
   std::printf("== GEMM backend: old 4-wide kernels vs packed cache-blocked ==\n");
   std::printf("(decoder-trunk shapes at T=2000, m=32, width 96; token-mix; "
-              "edge head; dW big-k)\n\n");
+              "edge head; dW big-k; the trunk at the repo benchmark's shape)\n\n");
   Rng rng(7);
 
   // Adaptive-path dims: T=2000 targets x m=32 candidates, encoder
@@ -194,23 +196,61 @@ int run_sweep() {
   dense("edge head [" + std::to_string(rows) + "x96 · 96x1]", rows, c, 1, false);
 
   // dW = Xᵀ·g — the big-k backward shape (k = rows), streamed regime.
-  {
-    A.assign(static_cast<std::size_t>(rows * c), 0.f);  // X [rows, c]
-    B.assign(static_cast<std::size_t>(rows * ch_hidden), 0.f);  // g [rows, 4c]
-    C.assign(static_cast<std::size_t>(c * ch_hidden), 0.f);
+  auto dw_backward = [&](i64 width, i64 kk, i64 hidden) {
+    A.assign(static_cast<std::size_t>(kk * width), 0.f);  // X [kk, width]
+    B.assign(static_cast<std::size_t>(kk * hidden), 0.f);  // g [kk, hidden]
+    C.assign(static_cast<std::size_t>(width * hidden), 0.f);
     fill_uniform(A, rng);
     fill_uniform(B, rng);
-    auto r = measure(
-        "dW backward [96x" + std::to_string(rows) + " · " + std::to_string(rows) +
-            "x384]",
-        2.0 * c * rows * ch_hidden,
-        [&] { old_gemm_at_b_acc(A.data(), B.data(), C.data(), c, rows, ch_hidden); },
+    results.push_back(measure(
+        "dW backward [" + std::to_string(width) + "x" + std::to_string(kk) + " · " +
+            std::to_string(kk) + "x" + std::to_string(hidden) + "]",
+        2.0 * width * kk * hidden,
+        [&] { old_gemm_at_b_acc(A.data(), B.data(), C.data(), width, kk, hidden); },
         [&] {
-          gemm::gemm_acc(gemm::transposed(A.data(), c),
-                         gemm::row_major(B.data(), ch_hidden), C.data(), c, rows,
-                         ch_hidden);
-        });
-    results.push_back(r);
+          gemm::gemm_acc(gemm::transposed(A.data(), width),
+                         gemm::row_major(B.data(), hidden), C.data(), width, kk, hidden);
+        }));
+  };
+  dw_backward(c, rows, ch_hidden);
+
+  // The decoder trunk at the shape the repo benchmark's train-adaptive
+  // workload issues (taserbench: T·m = 7500 candidate rows, 325 channels,
+  // channel-MLP hidden 4·325). fc1 carries the fused bias + GELU epilogue;
+  // the old column applies the same GELU after the old kernel.
+  {
+    const i64 bench_rows = 7500, bench_c = 325, bench_hidden = 4 * bench_c;
+    A.assign(static_cast<std::size_t>(bench_rows * bench_c), 0.f);
+    B.assign(static_cast<std::size_t>(bench_c * bench_hidden), 0.f);
+    C.assign(static_cast<std::size_t>(bench_rows * bench_hidden), 0.f);
+    std::vector<float> bias(static_cast<std::size_t>(bench_hidden));
+    fill_uniform(A, rng);
+    fill_uniform(B, rng);
+    fill_uniform(bias, rng);
+    gemm::Epilogue ep;
+    ep.bias = bias.data();
+    ep.gelu = true;
+    ep.beta_zero = true;
+    results.push_back(measure(
+        "bench trunk fc1+GELU [7500x325 · 325x1300]",
+        2.0 * bench_rows * bench_c * bench_hidden,
+        [&] {
+          old_gemm_acc(A.data(), B.data(), C.data(), bench_rows, bench_c, bench_hidden);
+#pragma omp parallel for schedule(static)
+          for (i64 i = 0; i < bench_rows; ++i) {
+            float* row = C.data() + i * bench_hidden;
+            for (i64 j = 0; j < bench_hidden; ++j) row[j] += bias[static_cast<std::size_t>(j)];
+            gemm::gelu_forward(row, row, bench_hidden);
+          }
+        },
+        [&] {
+          gemm::gemm_acc(gemm::row_major(A.data(), bench_c),
+                         gemm::row_major(B.data(), bench_hidden), C.data(), bench_rows,
+                         bench_c, bench_hidden, ep);
+        }));
+    dense("bench trunk fc2 [7500x1300 · 1300x325]", bench_rows, bench_hidden, bench_c,
+          false);
+    dw_backward(bench_c, bench_rows, bench_hidden);
   }
 
   Table table({"shape", "old GFLOP/s", "new GFLOP/s", "speedup"});

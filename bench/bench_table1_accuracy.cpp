@@ -1,7 +1,7 @@
 // Table I — accuracy (MRR %) of Baseline / +Ada.Mini-Batch /
 // +Ada.Neighbor / TASER for both backbones on the five datasets.
 //
-// Reduced configuration (see EXPERIMENTS.md): ~2.5-4k-edge synthetic
+// Reduced configuration (see bench/common.h): ~2.5-4k-edge synthetic
 // stand-ins, hidden 32, n=5, m=15, single seed, short training — the
 // paper uses full datasets, hidden 100, n=10, m=25, 5 seeds, 200 epochs.
 // The claim under test is the *ordering*: each adaptive component helps,
@@ -39,7 +39,7 @@ int main() {
     auto presets = bench::training_presets();
     // The 2-hop TGAT fan-out is ~6x the GraphMixer cost per edge; its
     // column uses 0.6x-edge datasets to fit the bench budget
-    // (EXPERIMENTS.md records the reduction).
+    // (on top of the reductions listed in bench/common.h).
     if (backbone == core::BackboneKind::kTgat)
       for (auto& p : presets)
         p.num_edges = static_cast<std::int64_t>(static_cast<double>(p.num_edges) * 0.6);

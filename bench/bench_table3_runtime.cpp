@@ -6,7 +6,8 @@
 //
 // CPU-side phases are measured wall time; device-side work (finder
 // kernels, PCIe transfers, VRAM gathers) is modeled time from the
-// SIMT simulator — columns report the sum (see DESIGN.md §1).
+// SIMT simulator — columns report the sum (see ROADMAP.md open item 1
+// on wall vs modeled time).
 //
 // Paper claims: baseline is dominated by NF+FS; GPU NF removes NF; the
 // cache removes most of FS; TGAT gains far more than GraphMixer.

@@ -7,7 +7,7 @@
 // final "paper-shape:" line stating whether the qualitative claim the
 // paper makes for that table/figure held in this run. Reduced
 // configurations (edge counts, dims, epochs) are all centralised here
-// and recorded in EXPERIMENTS.md.
+// and documented on the declarations below.
 
 #include <string>
 #include <vector>
@@ -36,7 +36,7 @@ std::vector<graph::SyntheticConfig> runtime_presets();
 
 /// The reduced trainer configuration shared by all accuracy benches:
 /// hidden/time dims 32/16, n=5, m=15, lr 5e-3 (paper: 100/100, n=10,
-/// m=25, lr 1e-4 — see EXPERIMENTS.md).
+/// m=25, lr 1e-4, §IV-A).
 core::TrainerConfig reduced_trainer_config(core::BackboneKind backbone);
 
 /// Trains `epochs` epochs and returns the final test MRR.

@@ -44,7 +44,7 @@ const char* to_string(PrefetchMode mode);
 /// Full experiment configuration. Paper defaults (§IV-A): batch 600,
 /// n = 10, m = 25, hidden/time/encoding dims 100, lr 1e-4, γ = 0.1,
 /// α = 2, β = 1; TGAT samples uniformly, GraphMixer most-recent.
-/// Benches shrink dims/batches and record the reduction in EXPERIMENTS.md.
+/// Benches shrink dims/batches; bench/common.h lists the reductions.
 struct TrainerConfig {
   BackboneKind backbone = BackboneKind::kTgat;
   FinderKind finder = FinderKind::kGpu;

@@ -8,7 +8,8 @@ namespace taser::gpusim {
 /// paper's testbed (NVIDIA RTX 6000 Ada, 48GB GDDR6, PCIe 4.0 x16); the
 /// performance model (perf_model.h) converts counted kernel work into
 /// simulated time using these constants. Everything here is a *model* —
-/// see DESIGN.md §1 for what that implies about reported numbers.
+/// ROADMAP.md open item 1 (wall vs modeled time) says what that implies
+/// about reported numbers.
 struct DeviceSpec {
   std::string name = "rtx6000ada-sim";
   int num_sms = 142;

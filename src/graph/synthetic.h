@@ -60,7 +60,7 @@ Dataset generate_synthetic(const SyntheticConfig& config, SyntheticMeta* meta = 
 /// Paper dataset presets (Table II), uniformly scaled by `scale` in node
 /// and edge counts so that training benches fit the host budget.
 /// `feat_dim_override` > 0 replaces the paper's feature dims (used by the
-/// reduced-configuration benches; recorded in EXPERIMENTS.md).
+/// reduced-configuration benches; bench/common.h lists the reductions).
 SyntheticConfig wikipedia_like(double scale = 1.0, std::int64_t feat_dim_override = 0);
 SyntheticConfig reddit_like(double scale = 1.0, std::int64_t feat_dim_override = 0);
 SyntheticConfig flights_like(double scale = 1.0, std::int64_t feat_dim_override = 0);

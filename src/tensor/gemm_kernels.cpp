@@ -107,8 +107,9 @@ void write_tile_impl(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
         float u = BZ ? a_row[j] : c_row[j] + a_row[j];
         if constexpr (BI) u += bias[j0 + j];
         if constexpr (PR) p_row[j] = u;
-        c_row[j] = GE ? gelu_scalar(u) : u;
+        c_row[j] = u;
       }
+      if constexpr (GE) gelu_forward(c_row, c_row, nr);
     }
   }
 }
@@ -262,8 +263,9 @@ void run_direct(const MatView& A, const MatView& B, float* C, std::int64_t m,
       float u = ep.beta_zero ? acc : c_row[j] + acc;
       if (ep.bias) u += ep.bias[j];
       if (ep.preact) ep.preact[i * n + j] = u;
-      c_row[j] = ep.gelu ? gelu_scalar(u) : u;
+      c_row[j] = u;
     }
+    if (ep.gelu) gelu_forward(c_row, c_row, n);
   }
 }
 
@@ -278,8 +280,9 @@ void epilogue_pass(float* C, std::int64_t m, std::int64_t n, const Epilogue& ep)
       float u = c_row[j];
       if (ep.bias) u += ep.bias[j];
       if (p_row) p_row[j] = u;
-      c_row[j] = ep.gelu ? gelu_scalar(u) : u;
+      c_row[j] = u;
     }
+    if (ep.gelu) gelu_forward(c_row, c_row, n);
   }
 }
 

@@ -78,10 +78,19 @@ void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
                       MatView B, float* C, std::int64_t c_stride, std::int64_t m,
                       std::int64_t k, std::int64_t n, const Epilogue& ep = {});
 
-/// The tanh-approximation GELU used by the fused epilogue — bit-identical
-/// to tensor::gelu's elementwise formula.
+/// tanh-GELU, gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), and
+/// its derivative. One definition (ops_elementwise.cpp) serves the fused
+/// epilogue, the fused-linear backward and tensor::gelu. It writes every
+/// multiply-add as an explicit fma and forbids implicit contraction, and
+/// the array forms pick their AVX2 or scalar body at run time, so every
+/// path in every build gives the same bits: linear_gelu stays
+/// bit-identical to gelu(linear(...)), forward and backward.
 float gelu_scalar(float x);
-/// d gelu(x) / dx, matching tensor::gelu's backward formula.
+/// d gelu(x) / dx.
 float gelu_grad_scalar(float x);
+/// y[i] = gelu(x[i]) for i < n; y may alias x.
+void gelu_forward(const float* x, float* y, std::int64_t n);
+/// gu[i] = g[i] · gelu'(u[i]) for i < n.
+void gelu_backward(const float* g, const float* u, float* gu, std::int64_t n);
 
 }  // namespace taser::tensor::gemm

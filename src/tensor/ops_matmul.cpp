@@ -1,5 +1,6 @@
 #include <omp.h>
 
+#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -36,6 +37,25 @@ void bias_grad_acc(const float* g, float* gb, std::int64_t rows, std::int64_t n)
       for (std::int64_t j = j0; j < j1; ++j) gb[j] += g_row[j];
     }
   }
+}
+
+/// g_u = g ⊙ gelu'(u): the fused equivalent of the gelu node's backward,
+/// one streaming pass instead of a tape node. Fixed-size chunks are split
+/// across the team; every element is computed on its own, so the result
+/// is bit-identical at any team size.
+std::unique_ptr<float[]> gelu_backward_buffer(const float* g, const float* u,
+                                              std::int64_t total) {
+  constexpr std::int64_t kChunk = 4096;
+  std::unique_ptr<float[]> gu(new float[static_cast<std::size_t>(total)]);
+  const std::int64_t chunks = (total + kChunk - 1) / kChunk;
+  const bool par = !omp_in_parallel() && total > (1 << 14);
+#pragma omp parallel for schedule(static) if (par)
+  for (std::int64_t c = 0; c < chunks; ++c) {
+    const std::int64_t i0 = c * kChunk;
+    gemm::gelu_backward(g + i0, u + i0, gu.get() + i0,
+                        std::min<std::int64_t>(kChunk, total - i0));
+  }
+  return gu;
 }
 
 /// Shared forward/backward for linear and linear_gelu: one gemm with the
@@ -80,15 +100,7 @@ Tensor linear_impl(const Tensor& x, const Tensor& w, const Tensor& b,
       const float* g = self.grad.data();
       std::unique_ptr<float[]> gu_buf;
       if (fuse_gelu) {
-        // g_u = g ⊙ gelu'(u): the fused equivalent of the gelu node's
-        // backward, one streaming pass instead of a tape node.
-        const std::int64_t total = rows * outdim;
-        gu_buf.reset(new float[static_cast<std::size_t>(total)]);
-        const float* u = preact.get();
-        const bool par = !omp_in_parallel() && total > (1 << 14);
-#pragma omp parallel for schedule(static) if (par)
-        for (std::int64_t i = 0; i < total; ++i)
-          gu_buf[static_cast<std::size_t>(i)] = g[i] * gemm::gelu_grad_scalar(u[i]);
+        gu_buf = gelu_backward_buffer(g, preact.get(), rows * outdim);
         g = gu_buf.get();
       }
       if (ix->requires_grad) {
@@ -158,13 +170,7 @@ Tensor linear_021_impl(const Tensor& x, const Tensor& w, const Tensor& b,
       const float* g = self.grad.data();
       std::unique_ptr<float[]> gu_buf;
       if (fuse_gelu) {
-        const std::int64_t total = nb * c * outdim;
-        gu_buf.reset(new float[static_cast<std::size_t>(total)]);
-        const float* u = preact.get();
-        const bool par = !omp_in_parallel() && total > (1 << 14);
-#pragma omp parallel for schedule(static) if (par)
-        for (std::int64_t i = 0; i < total; ++i)
-          gu_buf[static_cast<std::size_t>(i)] = g[i] * gemm::gelu_grad_scalar(u[i]);
+        gu_buf = gelu_backward_buffer(g, preact.get(), nb * c * outdim);
         g = gu_buf.get();
       }
       if (ix->requires_grad) {

@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 #include <omp.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
+#include <vector>
 
 #include "tensor/counters.h"
+#include "tensor/gemm_kernels.h"
 #include "tensor/ops.h"
 #include "tensor/tensor.h"
 #include "util/rng.h"
@@ -436,33 +443,239 @@ TEST(PackedGemm, ThreadCountBitIdentity) {
     ASSERT_EQ(serial[i], parallel[i]) << "thread-count divergence at " << i;
 }
 
+/// Values of `ts` laid end to end: forward outputs and gradients alike.
+std::vector<float> flatten(std::initializer_list<Tensor> ts) {
+  std::vector<float> out;
+  for (const Tensor& t : ts) out.insert(out.end(), t.data(), t.data() + t.numel());
+  return out;
+}
+
+void expect_same_values(const std::vector<float>& fused,
+                        const std::vector<float>& unfused) {
+  ASSERT_EQ(fused.size(), unfused.size());
+  for (std::size_t i = 0; i < fused.size(); ++i)
+    ASSERT_EQ(fused[i], unfused[i]) << "at " << i;
+}
+
+// Output widths: 37 leaves a partial 16-wide panel, 5 takes the 4-wide
+// narrow panels and 3 the unpacked direct path. The upstream gradient is
+// random so every element of g ⊙ gelu'(u) matters.
+constexpr std::int64_t kFusedWidths[] = {37, 5, 3};
+
 TEST(PackedGemm, FusedLinearGeluMatchesUnfusedBitwise) {
-  taser::util::Rng rng(19);
-  Tensor x = Tensor::randn({37, 23}, rng, 0.8f);
-  Tensor w = Tensor::randn({23, 31}, rng, 0.8f);
-  Tensor b = Tensor::randn({31}, rng, 0.8f);
-  Tensor fused = tt::linear_gelu(x, w, b);
-  Tensor unfused = tt::gelu(tt::linear(x, w, b));
-  ASSERT_EQ(fused.numel(), unfused.numel());
-  for (std::int64_t i = 0; i < fused.numel(); ++i)
-    ASSERT_EQ(fused.data()[i], unfused.data()[i]) << "at " << i;
+  for (const std::int64_t n : kFusedWidths) {
+    taser::util::Rng rng(19 + static_cast<std::uint64_t>(n));
+    Tensor x = Tensor::randn({37, 23}, rng, 0.8f, true);
+    Tensor w = Tensor::randn({23, n}, rng, 0.8f, true);
+    Tensor b = Tensor::randn({n}, rng, 0.8f, true);
+    Tensor gout = Tensor::randn({37, n}, rng, 1.f);
+
+    SCOPED_TRACE(testing::Message() << "n=" << n);
+    Tensor fused = tt::linear_gelu(x, w, b);
+    tt::sum_all(tt::mul(fused, gout)).backward();
+    const std::vector<float> f = flatten({fused, x.grad(), w.grad(), b.grad()});
+    x.zero_grad();
+    w.zero_grad();
+    b.zero_grad();
+    Tensor unfused = tt::gelu(tt::linear(x, w, b));
+    tt::sum_all(tt::mul(unfused, gout)).backward();
+    expect_same_values(f, flatten({unfused, x.grad(), w.grad(), b.grad()}));
+  }
 }
 
 TEST(PackedGemm, LinearFrom021MatchesPermuteBitwise) {
-  taser::util::Rng rng(21);
-  Tensor x = Tensor::randn({5, 13, 21}, rng, 0.8f);
-  Tensor w = Tensor::randn({13, 11}, rng, 0.8f);
-  Tensor b = Tensor::randn({11}, rng, 0.8f);
-  Tensor fused = tt::linear_from_021(x, w, b);
-  Tensor unfused = tt::linear(tt::permute_021(x), w, b);
-  ASSERT_EQ(fused.shape(), unfused.shape());
-  for (std::int64_t i = 0; i < fused.numel(); ++i)
-    ASSERT_EQ(fused.data()[i], unfused.data()[i]) << "at " << i;
+  for (const std::int64_t n : kFusedWidths) {
+    for (const bool with_gelu : {false, true}) {
+      taser::util::Rng rng(21 + static_cast<std::uint64_t>(n));
+      Tensor x = Tensor::randn({5, 13, 21}, rng, 0.8f, true);
+      Tensor w = Tensor::randn({13, n}, rng, 0.8f, true);
+      Tensor b = Tensor::randn({n}, rng, 0.8f, true);
+      Tensor gout = Tensor::randn({5, 21, n}, rng, 1.f);
 
-  Tensor gfused = tt::linear_gelu_from_021(x, w, b);
-  Tensor gunfused = tt::gelu(unfused);
-  for (std::int64_t i = 0; i < gfused.numel(); ++i)
-    ASSERT_EQ(gfused.data()[i], gunfused.data()[i]) << "gelu at " << i;
+      SCOPED_TRACE(testing::Message() << "n=" << n << " gelu=" << with_gelu);
+      Tensor fused = with_gelu ? tt::linear_gelu_from_021(x, w, b)
+                               : tt::linear_from_021(x, w, b);
+      tt::sum_all(tt::mul(fused, gout)).backward();
+      const std::vector<float> f = flatten({fused, x.grad(), w.grad(), b.grad()});
+      x.zero_grad();
+      w.zero_grad();
+      b.zero_grad();
+      Tensor lin = tt::linear(tt::permute_021(x), w, b);
+      Tensor unfused = with_gelu ? tt::gelu(lin) : lin;
+      ASSERT_EQ(fused.shape(), unfused.shape());
+      tt::sum_all(tt::mul(unfused, gout)).backward();
+      // The two decompositions sum dW in different orders: the fused op
+      // adds one [13,21]·[21,n] product per batch, the unfused one runs a
+      // single GEMM over all 5·21 rows. So dW is compared with the fused
+      // order applied to the unfused graph's own gradient at `lin`.
+      const Tensor g_lin = lin.grad();
+      Tensor dw;
+      for (std::int64_t bi = 0; bi < 5; ++bi) {
+        const float* xb = x.data() + bi * 13 * 21;
+        const float* gb = g_lin.data() + bi * 21 * n;
+        Tensor term = tt::matmul(Tensor::from_vector({13, 21}, {xb, xb + 13 * 21}),
+                                 Tensor::from_vector({21, n}, {gb, gb + 21 * n}));
+        dw = bi == 0 ? term : tt::add(dw, term);
+      }
+      expect_same_values(f, flatten({unfused, x.grad(), dw, b.grad()}));
+    }
+  }
+}
+
+// ---- GELU kernel conformance ----------------------------------------------
+// gemm::gelu_forward / gelu_backward run the AVX2 body (8 lanes at a time)
+// plus a scalar tail on hosts with AVX2+FMA, and the scalar body elsewhere;
+// gemm::gelu_scalar / gelu_grad_scalar are the scalar form called directly.
+
+std::uint32_t bits(float v) { return std::bit_cast<std::uint32_t>(v); }
+
+TEST(GeluKernel, ArrayPathsMatchScalarBitwise) {
+  // [-12, 12] in steps of 2^-10: both saturation points and the whole
+  // range in between.
+  std::vector<float> xs;
+  for (int i = -12 * 1024; i <= 12 * 1024; ++i) xs.push_back(static_cast<float>(i) / 1024.f);
+  taser::util::Rng rng(5);
+  std::vector<float> g(xs.size());
+  for (float& v : g) v = rng.next_uniform(-2.f, 2.f);
+
+  std::vector<float> y(xs.size()), gu(xs.size());
+  tt::gemm::gelu_forward(xs.data(), y.data(), static_cast<std::int64_t>(xs.size()));
+  tt::gemm::gelu_backward(g.data(), xs.data(), gu.data(),
+                          static_cast<std::int64_t>(xs.size()));
+  for (std::size_t i = 0; i < xs.size(); ++i) {
+    ASSERT_EQ(bits(y[i]), bits(tt::gemm::gelu_scalar(xs[i]))) << "gelu(" << xs[i] << ")";
+    ASSERT_EQ(bits(gu[i]), bits(g[i] * tt::gemm::gelu_grad_scalar(xs[i])))
+        << "gelu'(" << xs[i] << ")";
+  }
+
+  // Every length 1..33 (vector body + tail splits) from unaligned starts.
+  for (std::int64_t len = 1; len <= 33; ++len) {
+    for (std::size_t off : {std::size_t{0}, std::size_t{1}, std::size_t{3}, std::size_t{7},
+                            std::size_t{12289}}) {
+      std::vector<float> out(static_cast<std::size_t>(len) + 1, -7.f);
+      tt::gemm::gelu_forward(xs.data() + off, out.data() + 1, len);
+      for (std::int64_t i = 0; i < len; ++i)
+        ASSERT_EQ(bits(out[static_cast<std::size_t>(i) + 1]),
+                  bits(tt::gemm::gelu_scalar(xs[off + static_cast<std::size_t>(i)])))
+            << "len " << len << " offset " << off << " i " << i;
+      ASSERT_EQ(out[0], -7.f) << "wrote before the output";
+      tt::gemm::gelu_backward(g.data() + off, xs.data() + off, out.data() + 1, len);
+      for (std::int64_t i = 0; i < len; ++i) {
+        const std::size_t k = off + static_cast<std::size_t>(i);
+        ASSERT_EQ(bits(out[static_cast<std::size_t>(i) + 1]),
+                  bits(g[k] * tt::gemm::gelu_grad_scalar(xs[k])))
+            << "len " << len << " offset " << off << " i " << i;
+      }
+    }
+  }
+
+  // In place, as the GEMM epilogue calls it.
+  std::vector<float> inplace(xs.begin(), xs.begin() + 29);
+  tt::gemm::gelu_forward(inplace.data(), inplace.data(), 29);
+  for (std::size_t i = 0; i < inplace.size(); ++i)
+    ASSERT_EQ(bits(inplace[i]), bits(tt::gemm::gelu_scalar(xs[i])));
+}
+
+double ulps_off(float got, double ref) {
+  const float r = static_cast<float>(ref);
+  const double ulp = static_cast<double>(std::nextafter(std::fabs(r), INFINITY)) - std::fabs(r);
+  return std::fabs(static_cast<double>(got) - ref) / ulp;
+}
+
+TEST(GeluKernel, AccuracyAgainstDoubleReference) {
+  // |err| ≤ 2.5e-7·|x| for gelu and ≤ 2.5e-7·max(1, |x|) for gelu' (whose
+  // value is about 0.5 near 0); both ≤ 3 ULP for x > 0.
+  const double c = std::sqrt(2.0 / M_PI);
+  std::vector<float> xs;
+  for (int i = -12 * 8192; i <= 12 * 8192; ++i) xs.push_back(static_cast<float>(i) / 8192.f);
+  for (double m = 1e-30; m < 1e-3; m *= 1.01) {
+    xs.push_back(static_cast<float>(m));
+    xs.push_back(static_cast<float>(-m));
+  }
+  double worst_rel = 0, worst_ulp = 0, worst_grad_rel = 0, worst_grad_ulp = 0;
+  for (const float xf : xs) {
+    const double x = xf;
+    const double u = c * (x + 0.044715 * x * x * x);
+    const double t = std::tanh(u);
+    const double ref = 0.5 * x * (1 + t);
+    const double ref_grad =
+        0.5 * (1 + t) + 0.5 * x * (1 - t * t) * c * (1 + 3 * 0.044715 * x * x);
+    const float y = tt::gemm::gelu_scalar(xf);
+    const float d = tt::gemm::gelu_grad_scalar(xf);
+    if (xf != 0.f) worst_rel = std::max(worst_rel, std::fabs(y - ref) / std::fabs(x));
+    worst_grad_rel = std::max(worst_grad_rel, std::fabs(d - ref_grad) / std::max(1.0, std::fabs(x)));
+    if (xf > 0.f) {
+      worst_ulp = std::max(worst_ulp, ulps_off(y, ref));
+      worst_grad_ulp = std::max(worst_grad_ulp, ulps_off(d, ref_grad));
+    }
+  }
+  EXPECT_LE(worst_rel, 2.5e-7);
+  EXPECT_LE(worst_ulp, 3.0);
+  EXPECT_LE(worst_grad_rel, 2.5e-7);
+  EXPECT_LE(worst_grad_ulp, 3.0);
+  std::printf("gelu: max |err|/|x| %.3g, max ULP (x>0) %.3f; gelu': max |err|/max(1,|x|) "
+              "%.3g, max ULP (x>0) %.3f\n",
+              worst_rel, worst_ulp, worst_grad_rel, worst_grad_ulp);
+}
+
+/// Runs `check(x, gelu(x), gelu'(x))` on each of `xs` through the scalar
+/// entry points and the array ones. Nine copies of each value put it in
+/// every vector lane; the second, one-shorter call shifts a different run
+/// of copies into the scalar tail.
+void expect_gelu_all_paths(const std::vector<float>& xs, auto check) {
+  for (const float x : xs) check(x, tt::gemm::gelu_scalar(x), tt::gemm::gelu_grad_scalar(x));
+  std::vector<float> in;
+  for (const float x : xs) in.insert(in.end(), 9, x);
+  const std::vector<float> ones(in.size(), 1.f);
+  for (const std::size_t len : {in.size(), in.size() - 1}) {
+    std::vector<float> y(len), d(len);
+    tt::gemm::gelu_forward(in.data(), y.data(), static_cast<std::int64_t>(len));
+    tt::gemm::gelu_backward(ones.data(), in.data(), d.data(), static_cast<std::int64_t>(len));
+    for (std::size_t i = 0; i < len; ++i) check(in[i], y[i], d[i]);
+  }
+}
+
+TEST(GeluKernel, SaturatesExactly) {
+  const float big = std::numeric_limits<float>::max();
+  expect_gelu_all_paths({10.f, 10.5f, 37.f, 1e4f, 3e12f, 1e20f, 1e30f, big},
+                        [](float x, float y, float d) {
+                          EXPECT_EQ(y, x) << "gelu(" << x << ")";
+                          EXPECT_EQ(d, 1.f) << "gelu'(" << x << ")";
+                        });
+  expect_gelu_all_paths({-10.f, -10.5f, -37.f, -1e4f, -3e12f, -1e20f, -1e30f, -big},
+                        [](float x, float y, float d) {
+                          EXPECT_EQ(y, 0.f) << "gelu(" << x << ")";
+                          EXPECT_TRUE(std::signbit(y)) << "gelu(" << x << ")";
+                          EXPECT_EQ(d, 0.f) << "gelu'(" << x << ")";
+                        });
+}
+
+TEST(GeluKernel, NonFiniteZeroAndSubnormalInputs) {
+  const float inf = std::numeric_limits<float>::infinity();
+  expect_gelu_all_paths({std::numeric_limits<float>::quiet_NaN()}, [](float, float y, float d) {
+    EXPECT_TRUE(std::isnan(y));
+    EXPECT_TRUE(std::isnan(d));
+  });
+  expect_gelu_all_paths({inf}, [](float, float y, float d) {
+    EXPECT_EQ(y, std::numeric_limits<float>::infinity());
+    EXPECT_TRUE(std::isnan(d));
+  });
+  expect_gelu_all_paths({-inf}, [](float, float y, float d) {
+    EXPECT_TRUE(std::isnan(y));
+    EXPECT_TRUE(std::isnan(d));
+  });
+  expect_gelu_all_paths({0.f, -0.f}, [](float x, float y, float d) {
+    EXPECT_EQ(bits(y), bits(x)) << "gelu(±0) keeps the sign";
+    EXPECT_EQ(d, 0.5f);
+  });
+  const float denorm_min = std::numeric_limits<float>::denorm_min();
+  expect_gelu_all_paths(
+      {denorm_min, -denorm_min, 3 * denorm_min, 1e-39f, -1e-39f, 1e-45f * 4097},
+      [denorm_min](float x, float y, float d) {
+        EXPECT_LE(std::fabs(y - 0.5f * x), denorm_min) << "gelu(" << x << ") ≈ x/2";
+        EXPECT_TRUE(y == 0.f || std::signbit(y) == std::signbit(x));
+        EXPECT_EQ(d, 0.5f) << "gelu'(" << x << ")";
+      });
 }
 
 TEST(OpCounters, FusedOpsKeepDecompositionFlops) {
