@@ -14,6 +14,9 @@
 // the zero-chunk skip) against a naive double-precision reference on
 // tiny, odd, tile-unaligned shapes. Exits non-zero on any mismatch —
 // wired into ctest so kernel regressions surface in CI.
+//
+// Both modes print which register tile ran (gemm::kernel_isa()) and record
+// it as the `gemm.kernel_isa` label of the --json report.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -125,10 +128,17 @@ ShapeResult measure(const std::string& label, double flops_per_iter, OldFn old_f
   return r;
 }
 
+/// Prints and records which register tile the packed backend runs.
+void report_kernel_isa() {
+  std::printf("packed kernel ISA: %s\n\n", gemm::kernel_isa());
+  taser::bench::report_label("gemm.kernel_isa", gemm::kernel_isa());
+}
+
 int run_sweep() {
   std::printf("== GEMM backend: old 4-wide kernels vs packed cache-blocked ==\n");
   std::printf("(decoder-trunk shapes at T=2000, m=32, width 96; token-mix; "
-              "edge head; dW big-k; the trunk at the repo benchmark's shape)\n\n");
+              "edge head; dW big-k; the trunk at the repo benchmark's shape)\n");
+  report_kernel_isa();
   Rng rng(7);
 
   // Adaptive-path dims: T=2000 targets x m=32 candidates, encoder
@@ -401,10 +411,11 @@ void smoke_batched(Rng& rng) {
 
 int run_smoke() {
   std::printf("== bench_gemm --smoke: packed backend vs naive reference ==\n");
+  report_kernel_isa();
   Rng rng(13);
-  // Odd / tile-unaligned shapes around the kMR=6 / kNR=16 / kKC=256
-  // boundaries, multi-chunk k, and one shape whose packed B exceeds
-  // kPackAllBytes so the streamed regime (S) runs too.
+  // Odd / tile-unaligned shapes around the kMR=6 rows, the 16- and 32-wide
+  // panels and the kKC=256 chunk, multi-chunk k, and one shape whose packed
+  // B exceeds kPackAllBytes so the streamed regime (S) runs too.
   const i64 shapes[][3] = {{1, 1, 1},    {3, 5, 17},   {6, 16, 16},
                            {7, 17, 33},  {17, 33, 5},  {33, 300, 9},
                            {5, 515, 40}, {5, 3000, 200}};

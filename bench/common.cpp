@@ -10,11 +10,12 @@ namespace taser::bench {
 
 namespace {
 
-/// Process-wide report state: print_shape and report_metric feed it,
+/// Process-wide report state: print_shape, report_metric and report_label feed it,
 /// write_json_report flushes it. Benches are single-threaded at the
 /// recording points.
 struct ReportState {
   std::vector<std::pair<std::string, double>> metrics;
+  std::vector<std::pair<std::string, std::string>> labels;
   std::vector<std::pair<std::string, bool>> gates;
 };
 ReportState& report_state() {
@@ -22,14 +23,15 @@ ReportState& report_state() {
   return s;
 }
 
-void upsert_metric(std::vector<std::pair<std::string, double>>& metrics,
-                   const std::string& name, double value) {
-  for (auto& m : metrics)
+template <class V>
+void upsert(std::vector<std::pair<std::string, V>>& entries,
+            const std::string& name, const V& value) {
+  for (auto& m : entries)
     if (m.first == name) {
       m.second = value;
       return;
     }
-  metrics.emplace_back(name, value);
+  entries.emplace_back(name, value);
 }
 
 }  // namespace
@@ -108,7 +110,11 @@ void print_shape(const std::string& claim, bool held) {
 }
 
 void report_metric(const std::string& name, double value) {
-  upsert_metric(report_state().metrics, name, value);
+  upsert(report_state().metrics, name, value);
+}
+
+void report_label(const std::string& name, const std::string& value) {
+  upsert(report_state().labels, name, value);
 }
 
 int write_json_report(int argc, char** argv, const std::string& bench_name) {
@@ -127,6 +133,13 @@ int write_json_report(int argc, char** argv, const std::string& bench_name) {
     first = false;
     std::snprintf(buf, sizeof(buf), "%.10g", value);
     out += obs::json_quote(name) + ":" + buf;
+  }
+  out += "},\"labels\":{";
+  first = true;
+  for (const auto& [name, value] : state.labels) {
+    if (!first) out += ",";
+    first = false;
+    out += obs::json_quote(name) + ":" + obs::json_quote(value);
   }
   out += "},\"gates\":{";
   first = true;

@@ -52,13 +52,17 @@ void print_shape(const std::string& claim, bool held);
 // flushes them — plus a full telemetry snapshot — to a schema-stable
 // document:
 //   {"schema_version":1, "bench":"<name>",
-//    "metrics":{name:value,…}, "gates":{claim:bool,…},
+//    "metrics":{name:value,…}, "labels":{name:"text",…},
+//    "gates":{claim:bool,…},
 //    "telemetry":{…obs::json_snapshot()…}}
 // The CI smoke jobs upload these as BENCH_*.json artifacts.
 // ---------------------------------------------------------------------------
 
 /// Records one named scalar into the report (last write per name wins).
 void report_metric(const std::string& name, double value);
+
+/// Records one named string (e.g. the GEMM kernel ISA) into the report.
+void report_label(const std::string& name, const std::string& value);
 
 /// Writes the report to the `--json <path>` argument if present (any
 /// argv position; no-op and success when absent). The document is

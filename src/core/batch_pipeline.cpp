@@ -37,8 +37,8 @@ BatchPipeline::BatchPipeline(BatchBuilder& builder, int num_hops, bool async,
 
 BatchPipeline::BatchPipeline(BuilderPool& pool, int num_hops, bool async,
                              std::size_t depth, int workers, int builder_threads)
-    : pool_(&pool), num_hops_(num_hops), async_(async), ring_(depth + 1),
-      builder_threads_(builder_threads) {
+    : pool_(&pool), num_hops_(num_hops), async_(async), builder_threads_(builder_threads),
+      ring_(depth + 1) {
   TASER_CHECK_MSG(!pool.parallel() || pool.num_slots() >= ring_.size(),
                   "BuilderPool has " << pool.num_slots() << " slots but the ring needs "
                       << ring_.size()

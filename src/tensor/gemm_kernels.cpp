@@ -6,6 +6,19 @@
 #include <cmath>
 #include <vector>
 
+#include "util/check.h"
+
+// The 32-wide tile exists only where the 16-wide one fuses its multiply-add
+// (the x86-64-v3 build, __FMA__): only there do the two tiles run the same
+// operation per k step. The baseline-ISA build rounds mul and add
+// separately, so its 16-wide tile stays the only one.
+#if defined(__x86_64__) && defined(__GNUC__) && defined(__FMA__)
+#define TASER_HAS_AVX512_TILE 1
+#include <immintrin.h>
+#else
+#define TASER_HAS_AVX512_TILE 0
+#endif
+
 namespace taser::tensor::gemm {
 
 namespace {
@@ -69,21 +82,70 @@ bool pack_a_chunk(const MatView& A, std::int64_t i0, std::int64_t mr, std::int64
   return all_zero;
 }
 
-/// The one register-blocked micro-kernel: acc[kMR][kNR] += panel product
-/// over kc packed k-steps. Every accumulator is an independent chain, so
+/// The register-blocked micro-kernel: acc[kMR][NRv] += panel product over
+/// kc packed k-steps. Every accumulator is an independent chain, so
 /// vectorization never reassociates a sum — results are exact regardless
 /// of SIMD width.
 template <int NRv>
-void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
-                  float acc[kMR * kNR]) {
+void micro_kernel(std::int64_t kc, const float* ap, const float* bp, float* acc) {
   for (std::int64_t p = 0; p < kc; ++p, ap += kMR, bp += NRv) {
     for (int r = 0; r < kMR; ++r) {
       const float a = ap[r];
-      float* accr = acc + r * kNR;
+      float* accr = acc + r * NRv;
 #pragma omp simd
       for (int j = 0; j < NRv; ++j) accr[j] += a * bp[j];
     }
   }
+}
+
+#if TASER_HAS_AVX512_TILE
+/// The 6x32 tile in 12 ZMM accumulators. Per element it is one fma per k
+/// step, k ascending — the operation sequence of the contracted
+/// `acc += a * b` above — so both tiles give the same bits.
+__attribute__((target("avx512f"))) void micro_kernel_avx512(std::int64_t kc,
+                                                            const float* ap,
+                                                            const float* bp,
+                                                            float* acc) {
+  __m512 c[kMR][2];
+#pragma GCC unroll 6
+  for (int r = 0; r < kMR; ++r) {
+    c[r][0] = _mm512_load_ps(acc + r * kNRWide);
+    c[r][1] = _mm512_load_ps(acc + r * kNRWide + 16);
+  }
+  for (std::int64_t p = 0; p < kc; ++p, ap += kMR, bp += kNRWide) {
+    const __m512 b0 = _mm512_loadu_ps(bp);
+    const __m512 b1 = _mm512_loadu_ps(bp + 16);
+#pragma GCC unroll 6
+    for (int r = 0; r < kMR; ++r) {
+      const __m512 a = _mm512_set1_ps(ap[r]);
+      c[r][0] = _mm512_fmadd_ps(a, b0, c[r][0]);
+      c[r][1] = _mm512_fmadd_ps(a, b1, c[r][1]);
+    }
+  }
+#pragma GCC unroll 6
+  for (int r = 0; r < kMR; ++r) {
+    _mm512_store_ps(acc + r * kNRWide, c[r][0]);
+    _mm512_store_ps(acc + r * kNRWide + 16, c[r][1]);
+  }
+}
+
+template <>
+void micro_kernel<kNRWide>(std::int64_t kc, const float* ap, const float* bp, float* acc) {
+  micro_kernel_avx512(kc, ap, bp, acc);
+}
+#endif
+
+/// Whether this process runs the 32-wide tile: picked once, at first use.
+bool avx512_tile() {
+  static const bool on = [] {
+#if TASER_HAS_AVX512_TILE
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("avx512f") != 0;
+#else
+    return false;
+#endif
+  }();
+  return on;
 }
 
 /// Reduction done: fold the register tile into C (+ epilogue). The four
@@ -92,11 +154,11 @@ void micro_kernel(std::int64_t kc, const float* ap, const float* bp,
 /// freshly-zeroed C (identical value, half the C traffic).
 template <bool BZ, bool BI, bool GE, bool PR>
 void write_tile_impl(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
-                     std::int64_t mr, std::int64_t nr, const float acc[kMR * kNR],
-                     const float* bias, float* preact) {
+                     std::int64_t mr, std::int64_t nr, const float* acc,
+                     std::int64_t ldacc, const float* bias, float* preact) {
   for (std::int64_t r = 0; r < mr; ++r) {
     float* c_row = C + (i0 + r) * n + j0;
-    const float* a_row = acc + r * kNR;
+    const float* a_row = acc + r * ldacc;
     float* p_row = PR ? preact + (i0 + r) * n + j0 : nullptr;
     if constexpr (!BI && !GE && !PR) {
 #pragma omp simd
@@ -115,12 +177,16 @@ void write_tile_impl(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
 }
 
 void write_tile(float* C, std::int64_t n, std::int64_t i0, std::int64_t j0,
-                std::int64_t mr, std::int64_t nr, const float acc[kMR * kNR],
+                std::int64_t mr, std::int64_t nr, const float* acc, std::int64_t ldacc,
                 const Epilogue& ep, float* preact) {
   const int key = (ep.beta_zero ? 8 : 0) | (ep.bias ? 4 : 0) | (ep.gelu ? 2 : 0) |
                   (preact ? 1 : 0);
   switch (key) {
-#define TASER_WT_CASE(K, BZ, BI, GE, PR)                                      case K:                                                                       write_tile_impl<BZ, BI, GE, PR>(C, n, i0, j0, mr, nr, acc, ep.bias,                                         preact);                                    break;
+#define TASER_WT_CASE(K, BZ, BI, GE, PR)                                   \
+  case K:                                                                  \
+    write_tile_impl<BZ, BI, GE, PR>(C, n, i0, j0, mr, nr, acc, ldacc, ep.bias, \
+                                    preact);                               \
+    break;
     TASER_WT_CASE(0, false, false, false, false)
     TASER_WT_CASE(1, false, false, false, true)
     TASER_WT_CASE(2, false, false, true, false)
@@ -185,7 +251,7 @@ void run_packed(const MatView& A0, std::int64_t a_stride, std::int64_t batches,
     if (!any_nonzero && ep.empty()) continue;  // C += 0 — nothing to write
 
     for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-      float acc[kMR * kNR] = {};
+      alignas(64) float acc[kMR * NRv] = {};
       const float* bpanel = bpack + jp * k * NRv;
       std::int64_t done = 0;  // packed B rows consumed so far
       for (std::int64_t c = 0; c < chunks; ++c) {
@@ -196,7 +262,7 @@ void run_packed(const MatView& A0, std::int64_t a_stride, std::int64_t batches,
         done += kc;
       }
       const std::int64_t j0 = jp * NRv;
-      write_tile(Cb, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc, ep,
+      write_tile(Cb, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc, NRv, ep,
                  preact);
     }
   }
@@ -227,10 +293,10 @@ void run_streamed(const MatView& A, const MatView& B, float* C, std::int64_t m,
       local.a_panel.resize(static_cast<std::size_t>(kKC * kMR));
       if (pack_a_chunk(A, i0, mr, p0, kc, local.a_panel.data())) continue;
       for (std::int64_t jp = 0; jp < jpanels; ++jp) {
-        float acc[kMR * kNR] = {};
+        alignas(64) float acc[kMR * NRv] = {};
         micro_kernel<NRv>(kc, local.a_panel.data(), bpack + jp * kc * NRv, acc);
         const std::int64_t j0 = jp * NRv;
-        write_tile(C, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc,
+        write_tile(C, n, i0, j0, mr, std::min<std::int64_t>(NRv, n - j0), acc, NRv,
                    Epilogue{}, nullptr);
       }
     }
@@ -291,13 +357,71 @@ inline bool b_fits_packed(std::int64_t k, std::int64_t n, std::int64_t nr) {
          kPackAllBytes;
 }
 
-/// Panel width by output width: narrow outputs (scoring heads, n=1..8)
+/// Both regimes at panel width NRv, over `batches` problems sharing B.
+/// The regime is a function of the shape alone: B's packed size is judged
+/// at 16-wide padding whatever the panel width, so a 32-wide host never
+/// flips P to S (and the rounding with it) where a 16-wide one would not.
+template <int NRv>
+void run_panels(const MatView& A0, std::int64_t a_stride, std::int64_t batches,
+                const MatView& B, float* C, std::int64_t c_stride, std::int64_t m,
+                std::int64_t k, std::int64_t n, const Epilogue& ep) {
+  if (k > 0 && b_fits_packed(k, n, std::min<std::int64_t>(NRv, kNR))) {
+    run_packed<NRv>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
+    return;
+  }
+  for (std::int64_t b = 0; b < batches; ++b) {
+    float* Cb = C + b * c_stride;
+    if (k > 0) run_streamed<NRv>({A0.data + b * a_stride, A0.rs, A0.cs}, B, Cb, m, k, n);
+    Epilogue bep = ep;
+    if (bep.preact) bep.preact += b * m * n;
+    if (!bep.empty()) epilogue_pass(Cb, m, n, bep);
+  }
+}
+
+/// Panel width by output width, from the shape and the start-up ISA choice
+/// only — never the thread count. Narrow outputs (scoring heads, n = 5..8)
 /// would waste most of a 16-wide panel on zero padding, so they take a
-/// 4-wide instantiation of the same micro-kernel. The choice depends on
-/// the shape only — never on the thread count — so determinism holds.
-inline bool use_narrow(std::int64_t n) { return n <= kNR / 2; }
+/// 4-wide instantiation of the same micro-kernel; outputs of 9..16 columns
+/// (token mixing) keep the 16-wide tile rather than pad to 32.
+int panel_width(std::int64_t n) {
+  if (n <= kNR / 2) return 4;
+  return n > kNR && avx512_tile() ? kNRWide : kNR;
+}
 
 }  // namespace
+
+const char* kernel_isa() {
+  if (avx512_tile()) return "avx512";
+#if defined(__AVX2__) && defined(__FMA__)
+  return "avx2";
+#else
+  return "baseline";
+#endif
+}
+
+namespace detail {
+
+void gemm_acc_panels(int width, MatView A0, std::int64_t a_stride, std::int64_t batches,
+                     MatView B, float* C, std::int64_t c_stride, std::int64_t m,
+                     std::int64_t k, std::int64_t n, const Epilogue& ep) {
+  switch (width) {
+    case 4:
+      run_panels<4>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
+      return;
+    case kNR:
+      run_panels<kNR>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
+      return;
+#if TASER_HAS_AVX512_TILE
+    case kNRWide:
+      TASER_CHECK_MSG(avx512_tile(), "this CPU has no AVX-512 for 32-wide panels");
+      run_panels<kNRWide>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
+      return;
+#endif
+  }
+  TASER_CHECK_MSG(false, "no " << width << "-wide GEMM panels in this build");
+}
+
+}  // namespace detail
 
 void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
               std::int64_t n, const Epilogue& ep) {
@@ -306,21 +430,7 @@ void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
     run_direct(A, B, C, m, k, n, ep);
     return;
   }
-  const std::int64_t nr = use_narrow(n) ? 4 : kNR;
-  if (k > 0 && b_fits_packed(k, n, nr)) {
-    if (use_narrow(n))
-      run_packed<4>(A, 0, 1, B, C, 0, m, k, n, ep);
-    else
-      run_packed<kNR>(A, 0, 1, B, C, 0, m, k, n, ep);
-    return;
-  }
-  if (k > 0) {
-    if (use_narrow(n))
-      run_streamed<4>(A, B, C, m, k, n);
-    else
-      run_streamed<kNR>(A, B, C, m, k, n);
-  }
-  if (!ep.empty()) epilogue_pass(C, m, n, ep);
+  detail::gemm_acc_panels(panel_width(n), A, 0, 1, B, C, 0, m, k, n, ep);
 }
 
 void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
@@ -338,24 +448,8 @@ void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
     }
     return;
   }
-  const std::int64_t nr = use_narrow(n) ? 4 : kNR;
-  if (k > 0 && b_fits_packed(k, n, nr)) {
-    if (use_narrow(n))
-      run_packed<4>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
-    else
-      run_packed<kNR>(A0, a_stride, batches, B, C, c_stride, m, k, n, ep);
-    return;
-  }
-  // Shared-B batched callers (token mixing) always have tiny k·n; keep a
-  // correct fallback anyway.
-  for (std::int64_t b = 0; b < batches; ++b) {
-    const MatView A{A0.data + b * a_stride, A0.rs, A0.cs};
-    Epilogue bep = ep;
-    if (bep.preact) bep.preact += b * m * n;
-    float* Cb = C + b * c_stride;
-    if (k > 0) gemm_acc(A, B, Cb, m, k, n, {});
-    if (!bep.empty()) epilogue_pass(Cb, m, n, bep);
-  }
+  detail::gemm_acc_panels(panel_width(n), A0, a_stride, batches, B, C, c_stride, m, k,
+                          n, ep);
 }
 
 }  // namespace taser::tensor::gemm

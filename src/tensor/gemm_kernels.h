@@ -8,26 +8,39 @@ namespace taser::tensor::gemm {
 // (matmul/bmm/linear and the fused linear epilogues).
 //
 // Contract (see ROADMAP "GEMM kernel contract"):
-//  - One register-blocked kMR x kNR micro-kernel serves all transpose
-//    variants: operands are described by a strided `MatView` and
-//    canonicalized into tile-major panels by the packing step, so
-//    A, A^T, B, B^T and the batched permute_021 view all hit the same
-//    inner loop.
+//  - One register-blocked micro-kernel shape, kMR rows by a 16- or 32-wide
+//    panel, serves all transpose variants: operands are described by a
+//    strided `MatView` and canonicalized into tile-major panels by the
+//    packing step, so A, A^T, B, B^T and the batched permute_021 view all
+//    hit the same inner loop.
 //  - The summation order over k is fixed per output element (k ascending,
 //    blocked by kKC) and never depends on the thread count: OpenMP only
 //    partitions disjoint row panels. Results are bit-identical for any
 //    OMP_NUM_THREADS — the repo's executable invariant.
 //  - All-zero A chunks (kMR rows x kKC cols of the packed panel) are
-//    skipped wholesale; skipping only elides exact-zero contributions, so
-//    values are unchanged and the FLOP ledger stays dense. The backend
-//    itself records no OpCounters — callers account at op granularity.
+//    skipped wholesale and the FLOP ledger stays dense. For finite B
+//    this only elides exact-zero contributions, so values are unchanged;
+//    a NaN or ±inf in B that meets a skipped chunk is dropped, where the
+//    dense product would give NaN. The backend itself records no
+//    OpCounters — callers account at op granularity.
 //  - Kernels never open a nested OpenMP region: when invoked from inside
 //    an active parallel region (e.g. bmm's batch loop) they run serially
 //    on the calling thread.
 
-/// Register tile: kMR x kNR accumulators (6x16 = 12 YMM under AVX2).
+/// Register tiles. The 6x16 tile is 12 YMM accumulators with FMA in the
+/// x86-64-v3 build (the baseline build rounds mul and add apart). The
+/// 6x32 tile is 12 ZMM accumulators, compiled only into the x86-64-v3
+/// build and picked once at start-up when the CPU has AVX-512F. Panel
+/// width follows the output width: n > 16 takes 32-wide panels when the
+/// 6x32 tile runs, n = 9..16 keeps the 16-wide tile, n = 5..8 a 4-wide
+/// one, n <= 4 no packing at all. Both tiles keep kMR (the same all-zero
+/// chunks are skipped), the k order and kKC blocking, and do one fma per
+/// element per k step, so they give the same bits; P vs S is always
+/// judged at 16-wide padding, so the regime does not depend on the panel
+/// width.
 inline constexpr std::int64_t kMR = 6;
 inline constexpr std::int64_t kNR = 16;
+inline constexpr std::int64_t kNRWide = 32;
 /// k-dimension block: packed A chunks of kMR*kKC floats stay L1-resident.
 inline constexpr std::int64_t kKC = 256;
 /// Budget for packing B in one piece (regime P, epilogue-capable). Larger
@@ -77,6 +90,20 @@ void gemm_acc(MatView A, MatView B, float* C, std::int64_t m, std::int64_t k,
 void gemm_batched_acc(MatView A0, std::int64_t a_stride, std::int64_t batches,
                       MatView B, float* C, std::int64_t c_stride, std::int64_t m,
                       std::int64_t k, std::int64_t n, const Epilogue& ep = {});
+
+/// Which register tile this process runs: "avx512" (6x32 and 6x16),
+/// "avx2" (6x16 with FMA) or "baseline" (6x16, separate mul and add).
+const char* kernel_isa();
+
+namespace detail {
+/// The packed path at one panel width (4, 16 or kNRWide), as
+/// gemm_batched_acc; gemm_acc and gemm_batched_acc call it with the width
+/// the shape picks. Exposed so tests can compare widths bitwise; width
+/// kNRWide throws unless kernel_isa() is "avx512".
+void gemm_acc_panels(int width, MatView A0, std::int64_t a_stride, std::int64_t batches,
+                     MatView B, float* C, std::int64_t c_stride, std::int64_t m,
+                     std::int64_t k, std::int64_t n, const Epilogue& ep);
+}  // namespace detail
 
 /// tanh-GELU, gelu(x) = 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))), and
 /// its derivative. One definition (ops_elementwise.cpp) serves the fused

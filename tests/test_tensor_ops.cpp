@@ -4,11 +4,14 @@
 #include <omp.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <ostream>
+#include <string>
 #include <vector>
 
 #include "tensor/counters.h"
@@ -520,6 +523,120 @@ TEST(PackedGemm, LinearFrom021MatchesPermuteBitwise) {
       expect_same_values(f, flatten({unfused, x.grad(), dw, b.grad()}));
     }
   }
+}
+
+// ---- panel widths ----------------------------------------------------------
+// Outputs wider than 16 columns take 32-wide panels where the CPU has
+// AVX-512 and 16-wide ones elsewhere. Both widths must give the same bits
+// for every shape, transpose, epilogue and regime, so results do not
+// depend on the host.
+
+/// One problem for gemm_acc_panels: `batches` products sharing B.
+struct PanelCase {
+  std::int64_t m, k, n;
+  bool a_trans = false, b_trans = false;
+  unsigned epi = 0;  ///< bit 0 bias, bit 1 gelu, bit 2 preact, bit 3 beta_zero
+  std::int64_t batches = 1;
+  /// Zero rows 0..5 over the first k chunk (a skipped chunk, or a whole
+  /// panel when k <= kKC) and, when m >= 12, rows 6..11 over all of k.
+  bool zero_groups = false;
+};
+
+std::ostream& operator<<(std::ostream& os, const PanelCase& pc) {
+  return os << pc.batches << " x [" << pc.m << "x" << pc.k << " · " << pc.k << "x"
+            << pc.n << "] a_trans=" << pc.a_trans << " b_trans=" << pc.b_trans
+            << " epi=" << pc.epi << " zero_groups=" << pc.zero_groups;
+}
+
+/// Runs `pc` at 16- and 32-wide panels on the same inputs; returns false
+/// (after one gtest failure) at the first bit of C or preact that differs.
+bool panel_widths_agree(const PanelCase& pc, std::uint64_t seed) {
+  namespace gemm = tt::gemm;
+  taser::util::Rng rng(seed);
+  const auto uniform = [&](std::int64_t count) {
+    std::vector<float> v(static_cast<std::size_t>(count));
+    for (auto& x : v) x = rng.next_uniform(-1.f, 1.f);
+    return v;
+  };
+  const std::int64_t a_size = pc.m * pc.k, c_size = pc.m * pc.n;
+  std::vector<float> a = uniform(pc.batches * a_size), b = uniform(pc.k * pc.n),
+                     bias = uniform(pc.n), c0 = uniform(pc.batches * c_size);
+  if (pc.epi & 8) std::fill(c0.begin(), c0.end(), 0.f);
+  if (pc.zero_groups)
+    for (std::int64_t bi = 0; bi < pc.batches; ++bi)
+      for (std::int64_t i = 0; i < std::min<std::int64_t>(12, pc.m); ++i)
+        for (std::int64_t p = 0; p < (i < 6 ? std::min(gemm::kKC, pc.k) : pc.k); ++p)
+          a[static_cast<std::size_t>(bi * a_size +
+                                     (pc.a_trans ? p * pc.m + i : i * pc.k + p))] = 0.f;
+
+  const gemm::MatView A = pc.a_trans ? gemm::transposed(a.data(), pc.m)
+                                     : gemm::row_major(a.data(), pc.k);
+  const gemm::MatView B = pc.b_trans ? gemm::transposed(b.data(), pc.k)
+                                     : gemm::row_major(b.data(), pc.n);
+  // C followed by the preact buffer, as written at panel width `width`.
+  const auto run = [&](int width) {
+    std::vector<float> out(c0);
+    out.resize(2 * c0.size(), 0.f);
+    gemm::Epilogue ep;
+    ep.bias = pc.epi & 1 ? bias.data() : nullptr;
+    ep.gelu = (pc.epi & 2) != 0;
+    ep.preact = pc.epi & 4 ? out.data() + c0.size() : nullptr;
+    ep.beta_zero = (pc.epi & 8) != 0;
+    gemm::detail::gemm_acc_panels(width, A, a_size, pc.batches, B, out.data(), c_size,
+                                  pc.m, pc.k, pc.n, ep);
+    return out;
+  };
+  const std::vector<float> narrow = run(gemm::kNR), wide = run(gemm::kNRWide);
+  for (std::size_t i = 0; i < narrow.size(); ++i)
+    if (std::bit_cast<std::uint32_t>(narrow[i]) != std::bit_cast<std::uint32_t>(wide[i])) {
+      ADD_FAILURE() << pc << ": 16-wide " << narrow[i] << " vs 32-wide " << wide[i]
+                    << " at " << i;
+      return false;
+    }
+  return true;
+}
+
+TEST(PanelWidths, Wide32MatchesNarrow16Bitwise) {
+  const std::string isa = tt::gemm::kernel_isa();
+  if (isa != "avx512")
+    GTEST_SKIP() << "kernel_isa() is " << isa
+                 << ": this host runs no 32-wide panels to compare";
+  std::uint64_t seed = 500;
+  // Grid shapes: rows around kMR, columns around the 16/32 panel edges, k
+  // around the kKC chunk. Each shape runs all four transposes; the
+  // epilogue rotates with the shape, so every (transpose, epilogue) pair
+  // meets about ten shapes.
+  unsigned shape = 0;
+  for (const std::int64_t m : {1, 5, 6, 7, 13})
+    for (const std::int64_t n : {17, 31, 33, 47, 100, 325})
+      for (const std::int64_t k : {1, 255, 256, 257, 600}) {
+        for (unsigned t = 0; t < 4; ++t) {
+          const PanelCase pc{m, k, n, (t & 1) != 0, (t & 2) != 0, (shape + 5 * t) % 16, 1,
+                             (shape / 16 + t) % 2 == 1};
+          if (!panel_widths_agree(pc, ++seed)) return;
+        }
+        ++shape;
+      }
+  // Shared-B batches, including the permute_021 view (a_trans) of token
+  // mixing.
+  for (const auto& [m, k, n] : {std::array<std::int64_t, 3>{12, 25, 100},
+                                std::array<std::int64_t, 3>{13, 300, 33}})
+    for (unsigned t = 0; t < 4; ++t)
+      for (unsigned epi = 0; epi < 16; ++epi)
+        if (!panel_widths_agree({m, k, n, (t & 1) != 0, (t & 2) != 0, epi, 3, true}, ++seed))
+          return;
+  // Regime S at the trunk's dW shape, batched S (the shared-B fallback),
+  // and the largest P shape at 16-wide padding: m=7, k=10922, n=48 packs
+  // B in 2 MiB - 128 B at 16 wide but not at 32. With a non-zero C, P and
+  // S round differently.
+  for (const auto& [m, k, n, batches] : {std::array<std::int64_t, 4>{13, 7500, 1300, 1},
+                                         std::array<std::int64_t, 4>{7, 10923, 48, 2},
+                                         std::array<std::int64_t, 4>{7, 10922, 48, 1}})
+    for (unsigned t = 0; t < 4; ++t)
+      if (!panel_widths_agree(
+              {m, k, n, (t & 1) != 0, (t & 2) != 0, t % 2 ? 7u : 0u, batches, t == 1},
+              ++seed))
+        return;
 }
 
 // ---- GELU kernel conformance ----------------------------------------------
