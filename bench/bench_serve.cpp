@@ -55,7 +55,6 @@
 #include <vector>
 
 #include "common.h"
-#include "graph/dynamic_tcsr.h"
 #include "obs/export.h"
 #include "obs/trace.h"
 #include "serve/epoch_manager.h"
@@ -201,7 +200,7 @@ int run_part1(std::int64_t num_queries, bool smoke) {
   // session shape and require zero further arena growth.
   bool ws_flat = true;
   {
-    graph::DynamicTCSR g(s.data);
+    serve::GraphEpochManager g(s.data);
     serve::InferenceSession session(g, session_config());
     session.load_checkpoint(s.ckpt);
     std::vector<float> out;

@@ -20,9 +20,11 @@ namespace taser::graph {
 /// routes to the single shard owning the root, and that shard's list is
 /// byte-identical to what the unsharded graph would hold (the filtered
 /// TCSR build and `apply_event` replay only ever *skip whole unowned
-/// lists*, never reorder surviving entries). S = 1 is therefore
-/// bit-identical to the pre-sharding single-graph path, and any S answers
-/// every query identically — the conformance anchor test_serve pins.
+/// lists*, never reorder surviving entries). Every S therefore answers
+/// every query exactly as a static TCSR built from the same log would —
+/// the conformance anchor test_serve pins at S ∈ {1, 2, 4, 7}. This is the
+/// one streaming-graph type: tests and single-threaded callers use S = 1
+/// with the serial `ingest`, serving uses it through GraphEpochManager.
 ///
 /// Writer model (the parallel-ingest payoff): appending to the log
 /// (`append_event`) is serial and cheap; *indexing* the appended rows —
@@ -58,7 +60,7 @@ class ShardedDynamicTCSR {
 
   /// Mutation counter summed over shards; strictly monotone across
   /// publishes (every applied event lands in >= 1 shard). Readers fence
-  /// on it exactly as on the single-graph version.
+  /// on it (DynamicNeighborFinder's snapshot-read check).
   std::uint64_t version() const;
   bool writer_active() const;
 

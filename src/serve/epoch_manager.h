@@ -21,8 +21,8 @@ struct EpochConfig {
   std::int64_t compact_threshold = 0;
   /// Hash-partition the node space into this many shards per replica
   /// (>= 1). Publish-time catch-up indexes each shard's slice of the
-  /// event log on its own thread; 1 shard is the pre-sharding serial
-  /// path, bit-identical. Query answers are shard-count-invariant.
+  /// event log on its own thread; 1 shard replays serially. Query answers
+  /// are shard-count-invariant: every S answers as the static index does.
   int num_shards = 1;
   /// Modeled accelerator time per applied edge direction during catch-up,
   /// in microseconds (0 = none). Stands in for the per-event device work
@@ -123,8 +123,8 @@ class GraphEpochManager {
 
   // ---- writer side (single ingest thread) -----------------------------------
 
-  /// Buffers one interaction event (validated here: node range, globally
-  /// non-decreasing time, feature width). The event becomes visible to
+  /// Buffers one interaction event (validated here: node range, finite
+  /// and globally non-decreasing time, feature width). The event becomes visible to
   /// readers only at the next publish().
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});

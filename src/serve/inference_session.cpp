@@ -1,5 +1,7 @@
 #include "serve/inference_session.h"
 
+#include <cmath>
+
 #include "tensor/counters.h"
 #include "tensor/ops.h"
 
@@ -13,20 +15,6 @@ namespace {
 constexpr std::uint64_t kSrcRootSalt = 0x5a11c0de5u;
 constexpr std::uint64_t kDstRootSalt = 0xd5a17ea15u;
 }  // namespace
-
-InferenceSession::Pipeline::Pipeline(const graph::DynamicTCSR& graph,
-                                     gpusim::Device& device,
-                                     const SessionConfig& config, double time_scale)
-    : finder(graph, config.seed ^ 0xd1f1ULL) {
-  features = std::make_unique<cache::PlainFeatureSource>(graph.dataset(), device);
-  core::BuilderConfig bc;
-  bc.n = config.n_neighbors;
-  bc.m = config.n_neighbors;  // non-adaptive: the finder samples n directly
-  bc.policy = config.policy;
-  bc.time_scale = time_scale;
-  builder = std::make_unique<core::BatchBuilder>(graph.dataset(), finder, *features,
-                                                 device, /*sampler=*/nullptr, bc);
-}
 
 InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
                                      gpusim::Device& device,
@@ -45,20 +33,8 @@ InferenceSession::Pipeline::Pipeline(const graph::ShardedDynamicTCSR& graph,
                                                  device, /*sampler=*/nullptr, bc);
 }
 
-InferenceSession::InferenceSession(graph::DynamicTCSR& graph, SessionConfig config)
-    : fixed_graph_(&graph),
-      config_(config),
-      device_(config.device_spec),
-      rng_(config.seed) {
-  init_model();
-  const double time_scale = config_.time_scale > 0
-                                ? config_.time_scale
-                                : graph.dataset().mean_inter_event_gap();
-  pipes_.push_back(std::make_unique<Pipeline>(graph, device_, config_, time_scale));
-}
-
 InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig config)
-    : graphs_(&graphs),
+    : graphs_(graphs),
       config_(config),
       device_(config.device_spec),
       rng_(config.seed) {
@@ -76,8 +52,7 @@ InferenceSession::InferenceSession(GraphEpochManager& graphs, SessionConfig conf
 
 void InferenceSession::init_model() {
   util::Rng init_rng(config_.seed ^ 0xabcdef12345ULL);
-  const graph::Dataset& data =
-      graphs_ != nullptr ? graphs_->side(0).dataset() : fixed_graph_->dataset();
+  const graph::Dataset& data = graphs_.side(0).dataset();
   models::ModelConfig mc;
   mc.node_feat_dim = data.node_feat_dim;
   mc.edge_feat_dim = data.edge_feat_dim;
@@ -116,23 +91,12 @@ void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
 void InferenceSession::score_links(const std::vector<LinkQuery>& queries,
                                    const std::uint64_t* stream_keys,
                                    std::vector<float>& out) {
-  if (graphs_ != nullptr) {
-    // Pin the current epoch for the whole request: builder + forward see
-    // one immutable view, fenced by the publish-time version.
-    GraphEpochManager::ReadGuard epoch = graphs_->acquire();
-    Pipeline& pipe = *pipes_[static_cast<std::size_t>(epoch.side())];
-    pipe.finder.expect_version(epoch.graph_version());
-    last_epoch_ = epoch.epoch();
-    score_on(pipe, epoch.graph().num_nodes(), queries, stream_keys, out);
-  } else {
-    score_on(*pipes_[0], fixed_graph_->num_nodes(), queries, stream_keys, out);
-  }
-}
-
-void InferenceSession::score_on(Pipeline& pipe, std::int64_t num_nodes,
-                                const std::vector<LinkQuery>& queries,
-                                const std::uint64_t* stream_keys,
-                                std::vector<float>& out) {
+  // Pin the current epoch for the whole request: builder + forward see
+  // one immutable view, fenced by the publish-time version.
+  GraphEpochManager::ReadGuard epoch = graphs_.acquire();
+  Pipeline& pipe = *pipes_[static_cast<std::size_t>(epoch.side())];
+  pipe.finder.expect_version(epoch.graph_version());
+  last_epoch_ = epoch.epoch();
   TASER_CHECK_MSG(!queries.empty(), "score_links on an empty micro-batch");
   const auto B = static_cast<std::int64_t>(queries.size());
 
@@ -143,11 +107,14 @@ void InferenceSession::score_on(Pipeline& pipe, std::int64_t num_nodes,
   tt::NoGradGuard no_grad;
 
   roots_.clear();
-  const auto nodes = num_nodes;
+  const std::int64_t nodes = epoch.graph().num_nodes();
   for (const LinkQuery& q : queries) {
     TASER_CHECK_MSG(q.src >= 0 && q.src < nodes && q.dst >= 0 && q.dst < nodes,
                     "link query (" << q.src << ", " << q.dst
                                    << "): node id out of range [0, " << nodes << ")");
+    TASER_CHECK_MSG(std::isfinite(q.t),
+                    "link query (" << q.src << ", " << q.dst << ") at t=" << q.t
+                                   << ": query time must be finite");
     roots_.push(q.src, q.t);
   }
   for (const LinkQuery& q : queries) roots_.push(q.dst, q.t);

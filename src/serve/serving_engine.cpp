@@ -1,10 +1,10 @@
 #include "serve/serving_engine.h"
 
 #include <algorithm>
+#include <cmath>
 #include <exception>
 
 #include "obs/export.h"
-#include "serve/stats_merge.h"
 #include "util/failpoint.h"
 
 namespace taser::serve {
@@ -146,6 +146,9 @@ std::future<float> ServingEngine::submit(const LinkQuery& query) {
                       query.dst < nodes,
                   "link query (" << query.src << ", " << query.dst
                                  << "): node id out of range [0, " << nodes << ")");
+  TASER_CHECK_MSG(std::isfinite(query.t),
+                  "link query (" << query.src << ", " << query.dst << ") at t="
+                                 << query.t << ": query time must be finite");
   obs::TraceSpan submit_span(span_names().submit);
   std::uint64_t seq;
   {
@@ -259,6 +262,11 @@ void ServingEngine::ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
                   "streamed event (" << u << ", " << v
                                      << "): node id out of range [0, " << nodes
                                      << ")");
+  // A non-finite time would poison the ordering guard: after +inf every
+  // later finite event regresses and is rejected for good.
+  TASER_CHECK_MSG(std::isfinite(t),
+                  "streamed event (" << u << ", " << v << ") at t=" << t
+                                     << ": event time must be finite");
   TASER_CHECK_MSG(edge_feat.empty() ||
                       static_cast<std::int64_t>(edge_feat.size()) ==
                           graphs_.edge_feat_dim(),
@@ -604,11 +612,10 @@ ServingStats ServingEngine::stats() const {
   s.compactions = graphs_.compactions();
 
   // Merge shards in fixed worker order: equal runs → equal stats. Each
-  // shard contributes its exact fixed-bucket latency histogram; the
-  // bucketwise merge (stats_merge.h) is the single percentile code path
-  // shared with the telemetry exporters.
-  std::vector<obs::LocalHistogram> hists;
-  hists.reserve(shards_.size());
+  // shard folds its exact fixed-bucket latency histogram into one
+  // bucketwise merge (LocalHistogram::merge + quantile — the percentile
+  // code path the telemetry exporters use too).
+  obs::LocalHistogram merged;
   std::chrono::steady_clock::time_point last_complete{};
   for (const auto& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard->mu);
@@ -624,7 +631,7 @@ ServingStats ServingEngine::stats() const {
         shard->batches > 0 ? static_cast<double>(shard->completed) /
                                  static_cast<double>(shard->batches)
                            : 0.0);
-    hists.push_back(shard->latency_hist);
+    merged.merge(shard->latency_hist);
     if (shard->completed > 0 && shard->last_complete > last_complete)
       last_complete = shard->last_complete;
     s.workspace_alloc_events += shard->session->workspace_alloc_events();
@@ -632,7 +639,6 @@ ServingStats ServingEngine::stats() const {
   if (s.batches > 0)
     s.mean_batch_occupancy =
         static_cast<double>(s.requests) / static_cast<double>(s.batches);
-  const obs::LocalHistogram merged = merged_histogram(hists);
   if (merged.count > 0) {
     s.p50_ms = merged.quantile(0.50);
     s.p95_ms = merged.quantile(0.95);

@@ -82,14 +82,12 @@ struct EngineConfig {
 /// over shards in fixed worker order so equal runs report equal stats.
 /// Percentiles come from per-shard fixed-bucket log-spaced histograms
 /// (obs::LocalHistogram, exact counts — every request lands in a bucket)
-/// merged bucketwise through the one shared code path
-/// (`merged_histogram_percentile`), so a long-running engine holds
+/// merged bucketwise (`LocalHistogram::merge` + `quantile`, the code path
+/// the telemetry exporters use too), so a long-running engine holds
 /// O(workers) stats state; resolution is the ~9% bucket geometry with
-/// log interpolation, clamped to the exact tracked min/max. The
-/// count-weighted reservoir merge survives in stats_merge as an
-/// independent cross-check (test_obs compares the two merges within
-/// bucket resolution). `min_ms`/`max_ms`/`mean_ms`, counts and `qps`
-/// are exact.
+/// log interpolation, clamped to the exact tracked min/max (test_obs
+/// cross-checks the merge against a count-weighted reservoir merge).
+/// `min_ms`/`max_ms`/`mean_ms`, counts and `qps` are exact.
 struct ServingStats {
   std::uint64_t requests = 0;  ///< completed with a value
   std::uint64_t batches = 0;   ///< micro-batches scored (faulted ones excluded)
@@ -195,8 +193,9 @@ class ServingEngine {
   /// RejectedError (admission, kReject + full queue), DeadlineExceededError
   /// (shed while queued), EngineStoppedError (shutdown won a race with a
   /// blocked submit), or the captured fault of its micro-batch. Throws
-  /// EngineStoppedError when called after shutdown began. With kBlock and
-  /// a full queue, blocks until the shard worker frees space.
+  /// EngineStoppedError when called after shutdown began, and a plain
+  /// runtime_error for an out-of-range node or a non-finite time. With
+  /// kBlock and a full queue, blocks until the shard worker frees space.
   std::future<float> submit(const LinkQuery& query);
 
   /// Enqueues one streamed edge event (applied by the ingest thread in
@@ -204,7 +203,8 @@ class ServingEngine {
   /// `edge_feat` may be empty (zero row) or must hold edge_feat_dim
   /// floats. With max_pending_events bound: kBlock waits for queue space,
   /// kReject throws RejectedError. Throws EngineStoppedError after
-  /// shutdown begins.
+  /// shutdown begins, and a plain runtime_error for an out-of-range node,
+  /// a non-finite or regressing time, or a wrong feature width.
   void ingest(graph::NodeId u, graph::NodeId v, graph::Time t,
               std::vector<float> edge_feat = {});
 
@@ -263,8 +263,8 @@ class ServingEngine {
     std::uint64_t batches = 0;
     /// Fixed-bucket latency histogram (engine-owned, this-engine-only —
     /// the registry's histograms are process-cumulative). Source of
-    /// ServingStats percentiles and exact min/max/mean via
-    /// merged_histogram_percentile. Replaces the former per-shard
+    /// ServingStats percentiles and exact min/max/mean, merged across
+    /// shards under each shard's lock. Replaces the former per-shard
     /// Algorithm-R reservoir: same O(1) state, but exact counts (no
     /// sampling) and no RNG on the completion path.
     obs::LocalHistogram latency_hist;

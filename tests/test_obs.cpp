@@ -2,8 +2,8 @@
 // writers, register-or-lookup idempotence, histogram bucket geometry and
 // quantile resolution, trace-ring overflow/nesting/async emission, the
 // exporters (Prometheus text, JSON snapshot round-trip, Chrome
-// trace_event), the single serving-percentile code path
-// (merged_histogram_percentile vs the weighted-reservoir cross-check),
+// trace_event), the serving-percentile code path (the bucketwise
+// LocalHistogram merge vs a count-weighted reservoir cross-check),
 // and the determinism contract: runtime tracing on/off must not change a
 // single training bit. With -DTASER_TELEMETRY=OFF the registry/trace
 // tests skip themselves and the compile-out test proves the exporters
@@ -22,7 +22,7 @@
 #include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "serve/stats_merge.h"
+#include "util/check.h"
 #include "util/rng.h"
 
 using namespace taser;
@@ -98,7 +98,9 @@ TEST_F(ObsTest, HistogramSnapshotMergesShardsExactly) {
       for (int i = 1; i <= 1000; ++i) h.observe(static_cast<double>(t * 1000 + i));
     });
   for (auto& t : threads) t.join();
-  const obs::LocalHistogram* merged = find_hist(obs::snapshot(), "test.obs.hist");
+  // Keep the snapshot alive: find_hist points into it.
+  const obs::MetricsSnapshot snap = obs::snapshot();
+  const obs::LocalHistogram* merged = find_hist(snap, "test.obs.hist");
   ASSERT_NE(merged, nullptr);
   EXPECT_EQ(merged->count, 4000u);
   EXPECT_DOUBLE_EQ(merged->min, 1.0);
@@ -181,8 +183,98 @@ TEST(LocalHistogram, MergeAddsCountsAndExtremes) {
 }
 
 // ---------------------------------------------------------------------------
-// Single serving-percentile code path vs the reservoir cross-check
+// Serving-percentile code path vs the reservoir cross-check
 // ---------------------------------------------------------------------------
+
+/// One worker shard's latency reservoir as the cross-check sees it:
+/// `samples` is a uniform sample of that shard's completed requests,
+/// `count` the true number of requests it stands for.
+struct ReservoirSlice {
+  std::vector<double> samples;
+  std::uint64_t count = 0;
+};
+
+/// Count-weighted nearest-rank percentile over per-shard reservoirs: each
+/// retained sample carries weight `count / samples.size()` — the number
+/// of real requests it represents — and the percentile is the smallest
+/// latency whose cumulative weight reaches `p` of the total request
+/// count. Concatenating the reservoirs instead weights every retained
+/// sample equally, which drifts toward lightly-loaded shards once any
+/// reservoir has overflowed. Empty slices are skipped; returns 0 when no
+/// slice has samples; `p` must lie in [0, 1].
+double merged_percentile(const std::vector<ReservoirSlice>& slices, double p) {
+  TASER_CHECK_MSG(p >= 0.0 && p <= 1.0, "merged_percentile: p=" << p << " outside [0, 1]");
+  struct Weighted {
+    double ms;
+    double weight;
+  };
+  std::vector<Weighted> all;
+  double total_weight = 0.0;
+  for (const ReservoirSlice& slice : slices) {
+    if (slice.samples.empty()) continue;
+    const double w = static_cast<double>(slice.count) /
+                     static_cast<double>(slice.samples.size());
+    for (double ms : slice.samples) all.push_back({ms, w});
+    total_weight += static_cast<double>(slice.count);
+  }
+  if (all.empty()) return 0.0;
+  std::sort(all.begin(), all.end(),
+            [](const Weighted& a, const Weighted& b) { return a.ms < b.ms; });
+  const double threshold = p * total_weight;
+  double cumulative = 0.0;
+  for (const Weighted& s : all) {
+    cumulative += s.weight;
+    if (cumulative >= threshold) return s.ms;
+  }
+  return all.back().ms;  // p == 1 with floating-point shortfall
+}
+
+/// The serving engine's merge: fold every shard's histogram into one.
+obs::LocalHistogram merge_all(const std::vector<obs::LocalHistogram>& shards) {
+  obs::LocalHistogram merged;
+  for (const obs::LocalHistogram& h : shards) merged.merge(h);
+  return merged;
+}
+
+// The cross-check itself must weight per-shard reservoirs by the request
+// counts they represent: under hash-dispatch skew a sample-equal merge's
+// p50 tracks the shard serving 3% of the traffic.
+TEST(StatsMerge, SkewedLoadWeightsByCount) {
+  // Heavy shard: 9000 requests at ~1 ms, reservoir capped at 100 retained
+  // samples. Light shard: 300 requests at ~10 ms, all retained.
+  ReservoirSlice heavy;
+  heavy.samples.assign(100, 1.0);
+  heavy.count = 9000;
+  ReservoirSlice light;
+  light.samples.assign(300, 10.0);
+  light.count = 300;
+  const std::vector<ReservoirSlice> slices = {heavy, light};
+
+  // 97% of requests were fast: p50 and p95 sit on the heavy shard, only
+  // the p99 tail reaches the slow one.
+  EXPECT_DOUBLE_EQ(merged_percentile(slices, 0.50), 1.0);
+  EXPECT_DOUBLE_EQ(merged_percentile(slices, 0.95), 1.0);
+  EXPECT_DOUBLE_EQ(merged_percentile(slices, 0.99), 10.0);
+
+  // The bias the weighting removes: sample-equal concatenation reports a
+  // p50 of 10 ms for a system that answered 97% of requests in 1 ms.
+  std::vector<double> concat;
+  concat.insert(concat.end(), heavy.samples.begin(), heavy.samples.end());
+  concat.insert(concat.end(), light.samples.begin(), light.samples.end());
+  std::sort(concat.begin(), concat.end());
+  EXPECT_DOUBLE_EQ(concat[concat.size() / 2], 10.0);
+
+  // Equal per-shard loads reduce to the plain merge.
+  const ReservoirSlice a{{1.0, 2.0, 3.0, 4.0}, 4};
+  const ReservoirSlice b{{5.0, 6.0, 7.0, 8.0}, 4};
+  EXPECT_DOUBLE_EQ(merged_percentile({a, b}, 0.5), 4.0);
+  EXPECT_DOUBLE_EQ(merged_percentile({a, b}, 1.0), 8.0);
+
+  // Empty reservoirs are skipped; an all-empty merge reports zero.
+  EXPECT_DOUBLE_EQ(merged_percentile({ReservoirSlice{}, a}, 0.5), 2.0);
+  EXPECT_DOUBLE_EQ(merged_percentile({ReservoirSlice{}}, 0.5), 0.0);
+  EXPECT_THROW(merged_percentile(slices, 1.5), std::runtime_error);
+}
 
 TEST(StatsMerge, HistogramPercentileMatchesWeightedReservoir) {
   // Three shards with skewed loads and different latency regimes — the
@@ -191,7 +283,7 @@ TEST(StatsMerge, HistogramPercentileMatchesWeightedReservoir) {
   // full-population reservoir (no sampling) the two differ only by
   // bucket resolution.
   util::Rng rng(23);
-  std::vector<serve::ReservoirSlice> slices(3);
+  std::vector<ReservoirSlice> slices(3);
   std::vector<obs::LocalHistogram> hists(3);
   const double base[3] = {1.0, 5.0, 20.0};
   const std::size_t loads[3] = {4000, 1000, 250};
@@ -203,18 +295,19 @@ TEST(StatsMerge, HistogramPercentileMatchesWeightedReservoir) {
     }
     slices[static_cast<std::size_t>(s)].count = loads[s];
   }
+  const obs::LocalHistogram merged = merge_all(hists);
   for (double p : {0.5, 0.95, 0.99}) {
-    const double reservoir = serve::merged_percentile(slices, p);
-    const double histogram = serve::merged_histogram_percentile(hists, p);
+    const double reservoir = merged_percentile(slices, p);
+    const double histogram = merged.quantile(p);
     EXPECT_LE(histogram, reservoir * kBucketRatio * 1.02) << "p=" << p;
     EXPECT_GE(histogram, reservoir / kBucketRatio / 1.02) << "p=" << p;
   }
 }
 
 TEST(StatsMerge, HistogramPercentileEmptyShardsReturnZero) {
-  std::vector<obs::LocalHistogram> empty(4);
-  EXPECT_DOUBLE_EQ(serve::merged_histogram_percentile(empty, 0.99), 0.0);
-  EXPECT_EQ(serve::merged_histogram(empty).count, 0u);
+  const obs::LocalHistogram merged = merge_all(std::vector<obs::LocalHistogram>(4));
+  EXPECT_DOUBLE_EQ(merged.quantile(0.99), 0.0);
+  EXPECT_EQ(merged.count, 0u);
 }
 
 // ---------------------------------------------------------------------------

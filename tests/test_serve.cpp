@@ -13,19 +13,23 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <fstream>
 #include <future>
+#include <limits>
 #include <optional>
+#include <sstream>
 #include <thread>
 
-#include "graph/dynamic_tcsr.h"
 #include "graph/sharded_tcsr.h"
 #include "graph/synthetic.h"
+#include "graph/tcsr.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "sampling/dynamic_finder.h"
 #include "sampling/orig_finder.h"
 #include "serve/epoch_manager.h"
 #include "serve/inference_session.h"
 #include "serve/serving_engine.h"
-#include "serve/stats_merge.h"
 #include "tensor/counters.h"
 #include "tensor/ops.h"
 
@@ -61,7 +65,7 @@ graph::Dataset prefix_dataset(const graph::Dataset& full, std::int64_t keep) {
 
 /// Streams events [from, full.num_edges()) of `full` into `g`, compacting
 /// at every index in `compact_at`.
-void stream_rest(graph::DynamicTCSR& g, const graph::Dataset& full, std::int64_t from,
+void stream_rest(graph::ShardedDynamicTCSR& g, const graph::Dataset& full, std::int64_t from,
                  std::initializer_list<std::int64_t> compact_at = {}) {
   for (std::int64_t e = from; e < full.num_edges(); ++e) {
     const float* feat = full.edge_feat_dim > 0 ? full.edge_feat(static_cast<graph::EdgeId>(e))
@@ -80,8 +84,37 @@ std::vector<float> feat_row(const graph::Dataset& d, std::int64_t e) {
   return std::vector<float>(f, f + d.edge_feat_dim);
 }
 
-/// Works across graph backends (DynamicTCSR and ShardedDynamicTCSR at any
-/// shard count expose the same merged-view surface) — the sharded
+/// The training path's static index (graph::TCSR) over a whole log,
+/// behind the merged-view surface expect_query_identical reads: the
+/// reference the streaming graph is checked against, built by the plain
+/// unfiltered CSR construction rather than by streaming ingest.
+class StaticIndex {
+ public:
+  explicit StaticIndex(graph::Dataset log) : log_(std::move(log)), tcsr_(log_) {}
+  std::int64_t num_nodes() const { return tcsr_.num_nodes(); }
+  const graph::Dataset& dataset() const { return log_; }
+  graph::Time last_time() const { return log_.ts.back(); }
+  std::int64_t degree(graph::NodeId v) const { return tcsr_.degree(v); }
+  std::int64_t pivot_count(graph::NodeId v, graph::Time t) const {
+    return tcsr_.pivot(v, t) - tcsr_.begin(v);
+  }
+  graph::NodeId nbr(graph::NodeId v, std::int64_t j) const {
+    return tcsr_.nbr_at(tcsr_.begin(v) + j);
+  }
+  graph::Time nbr_ts(graph::NodeId v, std::int64_t j) const {
+    return tcsr_.ts_at(tcsr_.begin(v) + j);
+  }
+  graph::EdgeId nbr_eid(graph::NodeId v, std::int64_t j) const {
+    return tcsr_.eid_at(tcsr_.begin(v) + j);
+  }
+
+ private:
+  graph::Dataset log_;
+  graph::TCSR tcsr_;
+};
+
+/// Works across graph backends (ShardedDynamicTCSR at any shard count and
+/// StaticIndex expose the same merged-view surface) — the sharded
 /// conformance suites compare mixed pairs.
 template <class GraphA, class GraphB>
 void expect_query_identical(const GraphA& a, const GraphB& b) {
@@ -111,8 +144,8 @@ TEST(DynamicGraph, IncrementalEqualsStaticAcrossCompactions) {
   const graph::Dataset full = small_dataset();
   const std::int64_t cut = full.num_edges() * 2 / 3;
 
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
   // Two compactions at arbitrary points, plus a tail left in the delta.
   stream_rest(grown, full, cut, {cut + 37, cut + 120});
   ASSERT_GT(grown.delta_edges(), 0);
@@ -135,8 +168,8 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
   full.ts = {1, 2, 2, 2, 3};
   full.train_end = full.val_end = full.num_edges();
 
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, 2));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, 2));
   stream_rest(grown, full, 2);
 
   expect_query_identical(grown, statically_built);
@@ -150,8 +183,8 @@ TEST(DynamicGraph, DuplicateTimestampAcrossIngestBoundary) {
 TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
   const graph::Dataset full = small_dataset(7);
   const std::int64_t cut = full.num_edges() / 2;
-  graph::DynamicTCSR statically_built(full);
-  graph::DynamicTCSR grown(prefix_dataset(full, cut));
+  graph::ShardedDynamicTCSR statically_built(full);
+  graph::ShardedDynamicTCSR grown(prefix_dataset(full, cut));
   stream_rest(grown, full, cut, {cut + 50});
 
   // Queries spread over the timeline, including early times served purely
@@ -187,7 +220,7 @@ TEST(DynamicGraph, FinderSamplesIdenticalAtFixedSeed) {
 TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
   const graph::Dataset full = small_dataset(21);
   graph::TCSR tcsr(full);
-  graph::DynamicTCSR dyn(full);
+  graph::ShardedDynamicTCSR dyn(full);
 
   graph::TargetBatch targets;
   for (std::int64_t e = 0; e < full.num_edges(); e += 31)
@@ -211,7 +244,7 @@ TEST(DynamicGraph, MatchesOrigFinderSemanticsOnStaticGraph) {
 
 TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
   const graph::Dataset full = small_dataset(9);
-  graph::DynamicTCSR g(prefix_dataset(full, full.num_edges() / 2));
+  graph::ShardedDynamicTCSR g(prefix_dataset(full, full.num_edges() / 2));
   sampling::DynamicNeighborFinder finder(g, 1);
   graph::TargetBatch targets;
   targets.push(full.src[0], full.ts.back());
@@ -243,7 +276,7 @@ TEST(DynamicGraph, SingleWriterSnapshotReadAsserts) {
 
 TEST(DynamicGraph, FrozenReplicaRejectsMutation) {
   const graph::Dataset data = small_dataset(23);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   g.set_frozen(true);
   // A published epoch is immutable: both mutation entry points hard-fail
   // instead of racing concurrent readers.
@@ -256,7 +289,7 @@ TEST(DynamicGraph, FrozenReplicaRejectsMutation) {
 
 TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
   const graph::Dataset data = small_dataset(25);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   sampling::DynamicNeighborFinder finder(g, 1);
 
   // Matching expectation passes and is one-shot.
@@ -279,7 +312,7 @@ TEST(DynamicGraph, FinderEpochFenceDetectsMutationAfterAcquire) {
 // is set (debug builds and the sanitizer CI jobs).
 TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
   const graph::Dataset data = small_dataset(45);
-  graph::DynamicTCSR g(data);
+  graph::ShardedDynamicTCSR g(data);
   const auto n = static_cast<graph::NodeId>(g.num_nodes());
 
   EXPECT_THROW(g.degree(n), std::runtime_error);
@@ -301,14 +334,14 @@ TEST(DynamicGraph, MergedViewAccessorsBoundsChecked) {
 
 // ---- hash-partitioned shards -----------------------------------------------
 
-// The tentpole conformance anchor: a sharded container's merged view is
-// query-identical to an unsharded graph over the same log, at every shard
+// The sharding conformance anchor: a sharded container's merged view is
+// query-identical to the static index over the same log, at every shard
 // count, through streaming ingest and compactions (which shards compact
 // independently, at different effective thresholds).
 TEST(ShardedGraph, MergedViewMatchesUnshardedAcrossShardCounts) {
   const graph::Dataset full = small_dataset(47);
   const std::int64_t cut = full.num_edges() * 2 / 3;
-  graph::DynamicTCSR reference(full);
+  const StaticIndex reference(full);
 
   for (int num_shards : {1, 2, 4, 7}) {
     graph::ShardedDynamicTCSR sharded(prefix_dataset(full, cut), num_shards);
@@ -355,12 +388,8 @@ TEST(ShardedGraph, ShardOwnershipAndModeGuards) {
     EXPECT_EQ(graph::shard_of(v, 1), 0);
   }
 
-  // Mode guards: an owner-mode graph never replays an external log...
-  graph::DynamicTCSR owner_mode(data);
-  EXPECT_THROW(owner_mode.apply_event(data.src[0], data.dst[0], t1 + 1, 0),
-               std::runtime_error);
-  // ...and a frozen sharded container rejects appends like a frozen
-  // replica does (published epochs stay immutable at any shard count).
+  // A frozen sharded container rejects appends like a frozen replica
+  // does (published epochs stay immutable at any shard count).
   sharded.set_frozen(true);
   EXPECT_THROW(sharded.ingest(data.src[0], data.dst[0], t1 + 2), std::runtime_error);
   sharded.set_frozen(false);
@@ -412,10 +441,18 @@ TEST(EpochManager, PublishMakesIngestedEventsVisible) {
 TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
   const graph::Dataset full = small_dataset(29);
   const std::int64_t cut = full.num_edges() / 3;
-  graph::DynamicTCSR statically_built(full);
+  const StaticIndex statically_built(full);
+  // The same log plus the one extra event streamed at the end.
+  graph::Dataset full_plus = full;
+  full_plus.src.push_back(full.src[0]);
+  full_plus.dst.push_back(full.dst[0]);
+  full_plus.ts.push_back(full.ts.back() + 1);
+  full_plus.edge_feats.resize(full_plus.edge_feats.size() +
+                                  static_cast<std::size_t>(full.edge_feat_dim),
+                              0.f);
+  const StaticIndex static_plus(std::move(full_plus));
 
-  // The PR 6 anchors must hold at every shard count (ISSUE acceptance:
-  // S in {1, 2, 4}); S = 1 is the pre-sharding serial path.
+  // The epoch anchors must hold at every shard count S in {1, 2, 4}.
   for (int num_shards : {1, 2, 4}) {
     serve::EpochConfig ec;
     ec.compact_threshold = 64;  // several publish-time compactions on the way
@@ -446,8 +483,6 @@ TEST(EpochManager, ReplicasQueryIdenticalToStaticAcrossEpochsAndCompactions) {
     // the next publish — the fresh current epoch was the laggard a moment
     // ago, and must now be query-identical to a static build of the same
     // extended log.
-    graph::DynamicTCSR static_plus(full);
-    static_plus.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.ingest(full.src[0], full.dst[0], full.ts.back() + 1);
     mgr.publish();
     {
@@ -620,7 +655,7 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
   models::EdgePredictor ref_predictor(16, init);
   serve::save_servable(ref_model, ref_predictor, ckpt);
 
-  graph::DynamicTCSR g(data);
+  serve::GraphEpochManager g(data);
   serve::InferenceSession session(g, tiny_session_config());
   session.load_checkpoint(ckpt);
 
@@ -630,7 +665,7 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
 
   // Training-path reference: identical machinery (merged-view finder,
   // workspace builder, same time_scale), grad mode ON, training=true.
-  graph::DynamicTCSR g2(data);
+  graph::ShardedDynamicTCSR g2(data);
   sampling::DynamicNeighborFinder finder(g2, 1);
   gpusim::Device device;
   cache::PlainFeatureSource features(g2.dataset(), device);
@@ -669,7 +704,7 @@ TEST(NoGradInference, BitwiseEqualsTrainingPathForwardWithZeroTapeNodes) {
 
 TEST(NoGradInference, RepeatedRequestsKeepTapeAndWorkspaceFlat) {
   const graph::Dataset data = small_dataset(13);
-  graph::DynamicTCSR g(data);
+  serve::GraphEpochManager g(data);
   serve::InferenceSession session(g, tiny_session_config());
 
   const auto queries = tiny_queries(data, 8);
@@ -698,7 +733,7 @@ TEST(NoGradInference, RepeatedRequestsKeepTapeAndWorkspaceFlat) {
 // the property that makes stochastic policies safe to coalesce.
 TEST(KeyedStreams, ScoreIndependentOfBatchComposition) {
   const graph::Dataset data = small_dataset(33);
-  graph::DynamicTCSR g(data);
+  serve::GraphEpochManager g(data);
 
   // TGAT is multi-hop: its deeper frontiers exercise the parent→child key
   // chaining, not just the root keys.
@@ -769,16 +804,15 @@ std::string make_ckpt(const char* name, std::uint64_t seed) {
   return ckpt;
 }
 
-// Conformance anchor: a 1-worker engine over an epoch manager answers
-// bit-identically to the PR 5 shape — a plain fixed-view session scoring
-// the same queries directly.
+// Conformance anchor: a 1-worker engine answers bit-identically to a
+// session scoring the same queries directly, one at a time.
 TEST(ServingEngine, SingleWorkerMatchesDirectSessionBitwise) {
   const graph::Dataset data = small_dataset(17);
   const std::string ckpt = make_ckpt("engine.ckpt", 5);
   const auto queries = tiny_queries(data, 8);
 
-  // Reference answers: one fixed-view session, one query at a time.
-  graph::DynamicTCSR g_ref(data);
+  // Reference answers: one direct session, one query at a time.
+  serve::GraphEpochManager g_ref(data);
   serve::InferenceSession ref(g_ref, tiny_session_config());
   ref.load_checkpoint(ckpt);
   std::vector<float> expected;
@@ -860,7 +894,7 @@ TEST(ServingEngine, WorkerCountAndBatchingInvariantScores) {
 // same query stream over the same event stream scores bit-identically at
 // S in {1, 2, 4} (keyed sampling streams make this hold for stochastic
 // policies too). Together with SingleWorkerMatchesDirectSessionBitwise,
-// this anchors every shard count to the pre-sharding serving path.
+// this anchors every shard count to a direct session's answers.
 TEST(ServingEngine, ShardCountInvariantScores) {
   const graph::Dataset full = small_dataset(17);
   const std::int64_t cut = full.num_edges() / 2;
@@ -895,51 +929,6 @@ TEST(ServingEngine, ShardCountInvariantScores) {
   for (std::size_t v = 1; v < scores.size(); ++v)
     EXPECT_EQ(scores[v], scores[0]) << "shard count variant " << v
         << " diverged from the 1-shard reference";
-}
-
-// ---- stats merge ------------------------------------------------------------
-
-// Satellite 1 regression: merged percentiles must weight per-shard
-// reservoirs by the request counts they represent. The old merge
-// concatenated retained samples, so once any reservoir overflowed, a
-// lightly-loaded shard's samples counted as much per-sample as a
-// heavily-loaded shard's — under hash-dispatch skew the merged p50
-// tracked the shard serving 3% of the traffic.
-TEST(StatsMerge, SkewedLoadWeightsByCount) {
-  // Heavy shard: 9000 requests at ~1 ms, reservoir capped at 100 retained
-  // samples. Light shard: 300 requests at ~10 ms, all retained.
-  serve::ReservoirSlice heavy;
-  heavy.samples.assign(100, 1.0);
-  heavy.count = 9000;
-  serve::ReservoirSlice light;
-  light.samples.assign(300, 10.0);
-  light.count = 300;
-  const std::vector<serve::ReservoirSlice> slices = {heavy, light};
-
-  // 97% of requests were fast: p50 and p95 sit on the heavy shard, only
-  // the p99 tail reaches the slow one.
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.50), 1.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.95), 1.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile(slices, 0.99), 10.0);
-
-  // The exact bias this fixes: sample-equal concatenation reports a p50
-  // of 10 ms for a system that answered 97% of requests in 1 ms.
-  std::vector<double> concat;
-  concat.insert(concat.end(), heavy.samples.begin(), heavy.samples.end());
-  concat.insert(concat.end(), light.samples.begin(), light.samples.end());
-  std::sort(concat.begin(), concat.end());
-  EXPECT_DOUBLE_EQ(concat[concat.size() / 2], 10.0);
-
-  // Equal per-shard loads reduce to the plain merge.
-  const serve::ReservoirSlice a{{1.0, 2.0, 3.0, 4.0}, 4};
-  const serve::ReservoirSlice b{{5.0, 6.0, 7.0, 8.0}, 4};
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({a, b}, 0.5), 4.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({a, b}, 1.0), 8.0);
-
-  // Empty reservoirs are skipped; an all-empty merge reports zero.
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({serve::ReservoirSlice{}, a}, 0.5), 2.0);
-  EXPECT_DOUBLE_EQ(serve::merged_percentile({serve::ReservoirSlice{}}, 0.5), 0.0);
-  EXPECT_THROW(serve::merged_percentile(slices, 1.5), std::runtime_error);
 }
 
 TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {
@@ -992,6 +981,124 @@ TEST(ServingEngine, StreamsEventsThroughEpochsAndAutoCompacts) {
   EXPECT_NO_THROW(engine.submit({data.src[0], data.dst[0], t + 2}).get());
 }
 
+// Non-finite times are rejected at the serving boundary, on the client
+// thread. Unchecked, a NaN or -inf query scored as if it were a real time,
+// a +inf query scored NaN, and a +inf event poisoned the ordering guard so
+// that every later finite event was rejected.
+TEST(ServingEngine, RejectsNonFiniteTimesAtTheBoundary) {
+  const graph::Dataset data = small_dataset(51);
+  const graph::Time inf = std::numeric_limits<graph::Time>::infinity();
+  const graph::Time nan = std::numeric_limits<graph::Time>::quiet_NaN();
+  const graph::Time t = data.ts.back() + 1;
+  const graph::NodeId u = data.src[0], v = data.dst[0];
+
+  serve::GraphEpochManager mgr(data);
+  serve::EngineConfig ec;
+  ec.num_workers = 1;
+  ec.max_batch = 4;
+  ec.max_delay_ms = 1.0;
+  serve::ServingEngine engine(mgr, tiny_session_config(), ec);
+
+  // A direct session and a bare epoch manager guard the same boundary.
+  serve::GraphEpochManager direct_graphs(data);
+  serve::InferenceSession session(direct_graphs, tiny_session_config());
+  std::vector<float> out;
+
+  for (graph::Time bad : {nan, inf, -inf}) {
+    SCOPED_TRACE(::testing::Message() << "t=" << bad);
+    EXPECT_THROW(engine.submit({u, v, bad}), std::runtime_error);
+    EXPECT_THROW(engine.ingest(u, v, bad), std::runtime_error);
+    EXPECT_THROW(direct_graphs.ingest(u, v, bad), std::runtime_error);
+    EXPECT_THROW(session.score_links({{u, v, bad}}, out), std::runtime_error);
+  }
+
+  // A finite event is still accepted afterwards and becomes visible.
+  EXPECT_NO_THROW(engine.ingest(u, v, t));
+  engine.drain();
+  EXPECT_EQ(engine.stats().events_ingested, 1u);
+  EXPECT_TRUE(std::isfinite(engine.submit({u, v, t + 1}).get()));
+  EXPECT_NO_THROW(direct_graphs.ingest(u, v, t));
+  EXPECT_EQ(direct_graphs.publish(), 1u);
+  EXPECT_EQ(direct_graphs.events_published(), 1u);
+  EXPECT_NO_THROW(session.score_links({{u, v, t + 1}}, out));
+  EXPECT_TRUE(std::isfinite(out[0]));
+}
+
+/// Reads counter `name` from the registry (0 when unregistered).
+std::uint64_t registry_counter(const std::string& name) {
+  for (const auto& c : obs::snapshot().counters)
+    if (c.name == name) return c.value;
+  return 0;
+}
+
+/// Polls `pred` every millisecond for up to five seconds.
+template <class Pred>
+bool eventually(Pred pred) {
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (!pred()) {
+    if (std::chrono::steady_clock::now() > deadline) return false;
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  return true;
+}
+
+// The periodic telemetry snapshot thread (EngineConfig::
+// telemetry_snapshot_period_ms / _path): it writes a parsable JSON
+// snapshot while the engine serves, and a write failure is counted,
+// never thrown.
+TEST(ServingEngine, TelemetrySnapshotThreadWritesAndCountsFailures) {
+  if (!obs::compiled_in()) GTEST_SKIP() << "telemetry compiled out";
+  const graph::Dataset data = small_dataset(53);
+  const auto queries = tiny_queries(data, 4);
+
+  {
+    const std::string path = temp_path("telemetry_snapshot.json");
+    std::remove(path.c_str());
+    serve::GraphEpochManager mgr(data);
+    serve::EngineConfig ec;
+    ec.num_workers = 1;
+    ec.telemetry_snapshot_period_ms = 5;
+    ec.telemetry_snapshot_path = path;
+    serve::ServingEngine engine(mgr, tiny_session_config(), ec);
+    for (const auto& q : queries) engine.submit(q).get();
+
+    // A periodic write (not only the final flush at shutdown) lands while
+    // the engine is live. The thread rewrites the file in place, so a
+    // read may catch it mid-write: poll until one read parses.
+    std::string doc;
+    EXPECT_TRUE(eventually([&] {
+      std::ifstream in(path);
+      std::stringstream ss;
+      ss << in.rdbuf();
+      doc = ss.str();
+      return obs::json_valid(doc);
+    })) << doc;
+    EXPECT_TRUE(obs::json_has_key(doc, "counters")) << doc;
+    EXPECT_NE(doc.find("\"taser.serve.requests\""), std::string::npos) << doc;
+    std::remove(path.c_str());
+  }
+
+  {
+    serve::GraphEpochManager mgr(data);
+    serve::EngineConfig ec;
+    ec.num_workers = 1;
+    ec.telemetry_snapshot_period_ms = 5;
+    ec.telemetry_snapshot_path = temp_path("no-such-dir/telemetry_snapshot.json");
+    std::optional<serve::ServingEngine> engine;
+    ASSERT_NO_THROW(engine.emplace(mgr, tiny_session_config(), ec));
+    // The engine registers the counter in its constructor; the baseline
+    // read comes after that, so growth is measured against a live series.
+    const std::uint64_t failures0 =
+        registry_counter("taser.obs.snapshot_write_failures");
+    EXPECT_TRUE(eventually([&] {
+      return registry_counter("taser.obs.snapshot_write_failures") > failures0;
+    }));
+    // Serving continues, and shutdown's final (failing) flush is quiet.
+    EXPECT_NO_THROW(engine->submit(queries[0]).get());
+    EXPECT_NO_THROW(engine->shutdown());
+  }
+}
+
 // Scores under interleaved ingest equal a statically built graph's
 // answers once everything is drained — the incremental ≡ static
 // equivalence lifted through epochs, worker shards and compactions.
@@ -1019,7 +1126,7 @@ TEST(ServingEngine, PostDrainScoresMatchStaticGraphSession) {
   std::vector<std::future<float>> futures;
   for (const auto& q : queries) futures.push_back(engine.submit(q));
 
-  graph::DynamicTCSR g_static(full);
+  serve::GraphEpochManager g_static(full);
   serve::InferenceSession ref(g_static, sc);
   for (std::size_t i = 0; i < queries.size(); ++i) {
     std::vector<float> one;
